@@ -30,6 +30,7 @@ from .solvers import (
     enumerate_planar_optima,
     iter_crossing_free,
     solve_minla_bnb,
+    solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "run_cli",
     "search_gap_graphs",
     "solve_minla_bnb",
+    "solve_minla_dp",
     "solve_minla_exhaustive",
     "solve_planar_minla",
 ]

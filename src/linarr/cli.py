@@ -26,9 +26,9 @@ from .graphio import (
 )
 from .render import FORMATS, emit_arc_diagram
 from .solvers import (
-    SOLVER_BNB,
     check_dominating_edge_claims,
     solve_minla_bnb,
+    solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
 )
@@ -55,7 +55,11 @@ def _witness_strings(witnesses, labels) -> list[str]:
 
 def _cmd_minla(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
-    solve = solve_minla_exhaustive if args.solver == "exhaustive" else solve_minla_bnb
+    solve = {
+        "dp": solve_minla_dp,
+        "exhaustive": solve_minla_exhaustive,
+        "bnb": solve_minla_bnb,
+    }[args.solver]
     result = solve(doc.graph, dedup_reversals=True)
     witness = emit_arrangement(result.best, doc.labels)
     if args.json:
@@ -273,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minla", _cmd_minla, "exact minimum linear arrangement")
     p.add_argument("graph", help="graph file (edge list or JSON), or - for stdin")
-    p.add_argument("--solver", choices=["exhaustive", "bnb"], default="bnb")
+    p.add_argument("--solver", choices=["dp", "exhaustive", "bnb"], default="dp",
+                   help="subset DP (default; one witness), exhaustive or branch-and-bound")
 
     p = add("planar-minla", _cmd_planar_minla, "exact minimum over crossing-free arrangements")
     p.add_argument("graph", help="graph file, or - for stdin")

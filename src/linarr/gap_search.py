@@ -6,7 +6,9 @@ walks the connected-graph enumeration order by order and reports every
 graph whose gap reaches a threshold.
 
 Set LINARR_THREADS to an integer > 1 to fan the per-graph solves out over a
-process pool; results are re-collected in enumeration order either way.
+process pool of at most os.cpu_count() workers; results are re-collected in
+enumeration order either way. Any value other than an integer >= 1 is a
+ValidationError.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from typing import Iterator
 from .arrangement import Arrangement
 from .errors import ValidationError
 from .graph import Graph, enumerate_connected_graphs, is_outerplanar
-from .solvers import solve_minla_bnb, solve_planar_minla
+from .solvers import solve_minla_dp, solve_planar_minla
 
 
 @dataclass(frozen=True)
 class GapReport:
     """Both optima of one graph, their difference, and one witness per variant.
 
+    Each witness is the lexicographically smallest optimum of its variant.
     `planar_opt`, `gap` and `planar_witness` are None when the graph has no
     crossing-free arrangement.
     """
@@ -41,7 +44,7 @@ class GapReport:
 
 def compute_gap(g: Graph) -> GapReport:
     """Run both exact solvers and the outerplanarity test on one graph."""
-    minla = solve_minla_bnb(g)
+    minla = solve_minla_dp(g)
     planar = solve_planar_minla(g, dedup_reversals=True)
     if planar is None:
         planar_opt = None
@@ -63,11 +66,15 @@ def compute_gap(g: Graph) -> GapReport:
 
 
 def _thread_count() -> int:
+    """Worker count from LINARR_THREADS (default 1), capped at the CPU count."""
     raw = os.environ.get("LINARR_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValidationError(f"LINARR_THREADS must be an integer >= 1, got {raw!r}")
+    return min(count, os.cpu_count() or 1)
 
 
 def iter_gap_reports(max_order: int,

@@ -114,11 +114,13 @@ def _parse_json(text: str) -> GraphDocument:
             return index[x]
     else:
         order = doc.get("order")
-        if not isinstance(order, int) or order < 0:
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise ParseError('a JSON graph needs either "vertices" or a nonnegative "order"')
         labels = tuple(str(i) for i in range(order))
 
         def vertex(x) -> int:
+            if isinstance(x, bool):
+                raise ParseError(f"edge endpoint {x!r} must be a vertex index, not a boolean")
             if not isinstance(x, int) or not 0 <= x < order:
                 raise UnknownLabelError(f"edge endpoint {x!r} is not a vertex index below {order}")
             return x

@@ -2,9 +2,13 @@
 crossing-free variant, plus a mechanical checker for the structural claims
 about dominating cycle edges in crossing-free arrangements.
 
-All solvers enumerate arrangements of vertices onto positions 1..n and are
-exact by construction; the branch-and-bound and the planar search prune
-prefixes, the exhaustive solver does not. Intended scale is order <= 9.
+The default minLA solver is a dynamic program over vertex subsets; the
+exhaustive and branch-and-bound solvers enumerate arrangements of vertices
+onto positions 1..n, the latter pruning prefixes, and are kept as
+references. Each minLA solver has a maximum order (`MAX_ORDER_*`) above
+which it raises ValidationError instead of running for hours. The planar
+search prunes prefixes by crossings and by cost; its intended scale is
+order <= 9.
 """
 
 from __future__ import annotations
@@ -19,18 +23,29 @@ from .graph import Edge, Graph, normalize_edge
 
 SOLVER_EXHAUSTIVE = "exhaustive"
 SOLVER_BNB = "branch-and-bound"
+SOLVER_DP = "subset-dp"
 SOLVER_PLANAR = "planar-prefix"
+
+# Largest order each minLA solver accepts. At order 10 the enumerating
+# solvers already take 15 s (exhaustive, P10) to 43 s (branch-and-bound,
+# K10); the subset DP takes about 1 s for K17, its worst case. Times are
+# for one Xeon core under CPython 3.11.
+MAX_ORDER_EXHAUSTIVE = 10
+MAX_ORDER_BNB = 10
+MAX_ORDER_DP = 17
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exact solve.
 
-    `witnesses` holds optimal arrangements sorted by position sequence;
-    when `deduped_reversals` is set, each mirror pair is collapsed to its
-    lexicographically smaller member. `explored` counts the complete
+    `witnesses` holds optimal arrangements sorted by position sequence
+    (the subset DP returns only the smallest); when `deduped_reversals` is
+    set, each mirror pair is collapsed to its lexicographically smaller
+    member. For the enumerating solvers, `explored` counts the complete
     arrangements whose cost was evaluated, which makes pruned and unpruned
-    solvers directly comparable.
+    solvers directly comparable; for the subset DP it counts the subset
+    states evaluated, 2**n.
     """
 
     optimal_cost: int
@@ -60,6 +75,13 @@ def _finalize(optimal_cost: int, position_tuples: list[tuple[int, ...]], explore
     return SolveResult(optimal_cost, tuple(arrs), explored, solver_id, dedup_reversals)
 
 
+def _check_order(g: Graph, limit: int, solver_id: str) -> None:
+    if g.order > limit:
+        raise ValidationError(
+            f"the {solver_id} solver accepts graphs of order <= {limit}, got {g.order}"
+        )
+
+
 def _trivial_result(n: int, solver_id: str, dedup_reversals: bool) -> SolveResult:
     arr = Arrangement(tuple(range(1, n + 1)))
     return SolveResult(0, (arr,), 1, solver_id, dedup_reversals)
@@ -67,6 +89,7 @@ def _trivial_result(n: int, solver_id: str, dedup_reversals: bool) -> SolveResul
 
 def solve_minla_exhaustive(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     """Minimize total edge length over all n! arrangements; collect every optimum."""
+    _check_order(g, MAX_ORDER_EXHAUSTIVE, SOLVER_EXHAUSTIVE)
     n = g.order
     if n <= 1:
         return _trivial_result(n, SOLVER_EXHAUSTIVE, dedup_reversals)
@@ -99,6 +122,7 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     + the number of fully unplaced edges
     reaches the incumbent; the bound never overestimates a completion.
     """
+    _check_order(g, MAX_ORDER_BNB, SOLVER_BNB)
     n = g.order
     if n <= 1:
         return _trivial_result(n, SOLVER_BNB, dedup_reversals)
@@ -146,6 +170,95 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     rec(0, 0)
     assert incumbent is not None
     return _finalize(incumbent, witnesses, explored, SOLVER_BNB, dedup_reversals)
+
+
+def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
+    """Exact minLA as a shortest path over vertex subsets, O(2**n * n).
+
+    An arrangement's cost is the sum of its prefix cut sizes |δ(S_k)|,
+    S_k being the vertices at positions 1..k (Díaz, Petit & Serna, "A
+    survey of graph layout problems", ACM Comput. Surv. 34(3), 2002).
+    Three tables over subset masks: cut[S]; ahead[S] = F[S] + cut[S], F
+    being the best prefix cost of reaching S; and the cost-to-go H[S],
+    which by reversal symmetry is ahead[V - S]. The optimum is F[V], and a
+    move S -> S+v lies on some optimal arrangement iff
+    F[S] + cut[S] + H[S+v] == F[V].
+
+    `witnesses` holds a single arrangement: the lexicographically smallest
+    optimum by position tuple, i.e. the exhaustive solver's `best` with or
+    without `dedup_reversals`. `explored` is the number of subset states,
+    2**n.
+    """
+    _check_order(g, MAX_ORDER_DP, SOLVER_DP)
+    n = g.order
+    full = (1 << n) - 1
+    size = full + 1
+    cut = [0] * size
+    for v, nbrs in enumerate(g.neighbor_masks):
+        bit, deg = 1 << v, nbrs.bit_count()
+        for rest in range(bit):
+            cut[bit | rest] = cut[rest] + deg - 2 * (nbrs & rest).bit_count()
+    ahead = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        best = ahead[s ^ low]
+        m = s ^ low
+        while m:
+            low = m & -m
+            m ^= low
+            c = ahead[s ^ low]
+            if c < best:
+                best = c
+        ahead[s] = best + cut[s]
+    opt = ahead[full]
+    togo = ahead[::-1]
+
+    def tight_moves(s: int, targets: set[int], first_only: bool = False) -> list[int]:
+        """Optimal moves from s that land in `targets`."""
+        need = opt - ahead[s]
+        found = []
+        m = full ^ s
+        while m:
+            low = m & -m
+            m ^= low
+            t = s | low
+            if togo[t] == need and t in targets:
+                found.append(t)
+                if first_only:
+                    break
+        return found
+
+    # levels[k]: the k-vertex prefixes of optimal arrangements that agree
+    # with every position fixed so far. Fix vertices 0, 1, ... in turn at
+    # their earliest feasible position and drop the prefixes that no longer
+    # lie on a full optimal path, until only one such path is left.
+    levels: list[set[int]] = [set() for _ in range(n + 1)]
+    for s in range(size):
+        if ahead[s] - cut[s] + togo[s] == opt:
+            levels[s.bit_count()].add(s)
+    for v in range(n):
+        if all(len(level) == 1 for level in levels):
+            break
+        bit = 1 << v
+        p = next(k + 1 for k in range(n) for s in levels[k]
+                 if not s & bit and s | bit in levels[k + 1] and ahead[s] + togo[s | bit] == opt)
+        for k in range(n + 1):
+            want = bit if k >= p else 0
+            levels[k] = {s for s in levels[k] if s & bit == want}
+        for k in range(n):
+            reached: set[int] = set()
+            for s in levels[k]:
+                reached.update(tight_moves(s, levels[k + 1]))
+            levels[k + 1] = reached
+        for k in range(n - 1, -1, -1):
+            levels[k] = {s for s in levels[k] if tight_moves(s, levels[k + 1], first_only=True)}
+    pos = [0] * n
+    prev = 0
+    for k in range(1, n + 1):
+        (s,) = levels[k]
+        pos[(s ^ prev).bit_length() - 1] = k
+        prev = s
+    return SolveResult(opt, (Arrangement(tuple(pos)),), size, SOLVER_DP, dedup_reversals)
 
 
 def _planar_search(g: Graph, prune_cost: bool) -> tuple[int | None, list[tuple[int, ...]], int]:

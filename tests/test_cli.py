@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linarr
 from linarr import emit_arc_diagram, parse_arrangement, parse_graph, run_cli
+from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
 
@@ -50,13 +56,29 @@ class TestGap:
 
 
 class TestMinla:
-    @pytest.mark.parametrize("solver", ["exhaustive", "bnb"])
+    @pytest.mark.parametrize("solver", ["dp", "exhaustive", "bnb"])
     def test_both_solvers(self, capsys, pentagon_file, solver):
         code, out, _ = run(capsys, "minla", pentagon_file, "--solver", solver, "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["optimal_cost"] == 9
         assert payload["witness"] == "a,e,b,d,c"
+
+    def test_default_solver_is_subset_dp(self, capsys, pentagon_file):
+        code, out, _ = run(capsys, "minla", pentagon_file, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["solver"] == "subset-dp"
+        assert payload["witnesses"] == ["a,e,b,d,c"]
+        assert payload["explored"] == 2 ** 5
+
+    @pytest.mark.parametrize("solver, limit", [("dp", MAX_ORDER_DP), ("bnb", MAX_ORDER_BNB)])
+    def test_order_limit_is_validation_error(self, capsys, tmp_path, solver, limit):
+        path = tmp_path / "big.edges"
+        path.write_text("".join(f"v{i}\n" for i in range(limit + 1)))
+        code, _, err = run(capsys, "minla", str(path), "--solver", solver)
+        assert code == 1
+        assert "validation error" in err
 
     def test_explored_reported(self, capsys, pentagon_file):
         _, out, _ = run(capsys, "minla", pentagon_file, "--solver", "exhaustive", "--json")
@@ -172,6 +194,23 @@ class TestExitCodes:
 
     def test_help_is_0(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_boolean_json_order_is_2(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"order": true, "edges": []}')
+        code, _, err = run(capsys, "minla", str(path))
+        assert code == 2
+        assert "parse error" in err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(linarr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "linarr", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert "usage: linarr" in proc.stdout
 
 
 class TestDeterminism:

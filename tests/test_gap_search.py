@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from conftest import complete_graph, cycle_graph
@@ -14,6 +16,7 @@ from linarr import (
     pentagon_with_chord,
     search_gap_graphs,
 )
+from linarr.gap_search import _thread_count
 
 DIAMOND = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -100,6 +103,31 @@ class TestIterReports:
         monkeypatch.setenv("LINARR_THREADS", "2")
         parallel = [r.graph for _, _, r in iter_gap_reports(4)]
         assert parallel == serial
+
+
+class TestThreadCount:
+    # Only the parsing is exercised; no pool is started.
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("LINARR_THREADS", raising=False)
+        assert _thread_count() == 1
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "", "0", "-3"])
+    def test_invalid_values_are_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("LINARR_THREADS", raw)
+        with pytest.raises(ValidationError, match="LINARR_THREADS"):
+            _thread_count()
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("LINARR_THREADS", "64")
+        assert _thread_count() == 3
+        monkeypatch.setenv("LINARR_THREADS", "2")
+        assert _thread_count() == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setenv("LINARR_THREADS", "4")
+        assert _thread_count() == 1
 
 
 class TestBookEmbeddingEquivalence:

@@ -88,6 +88,16 @@ class TestJsonParsing:
         with pytest.raises(ParseError):
             parse_graph('{"vertices": ["a"], "edges": [["a", "a"]]}')
 
+    def test_boolean_order_is_parse_error(self):
+        # bool is an int subclass; true must not pass as order 1.
+        with pytest.raises(ParseError):
+            parse_graph('{"order": true, "edges": []}')
+
+    @pytest.mark.parametrize("edge", ["[true, 0]", "[1, false]"])
+    def test_boolean_endpoint_is_parse_error(self, edge):
+        with pytest.raises(ParseError):
+            parse_graph('{"order": 2, "edges": [%s]}' % edge)
+
     def test_explicit_format_override(self):
         with pytest.raises(ParseError):
             parse_graph("a b\n", format="json")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     arr_of,
     complete_graph,
     cycle_graph,
+    graphs,
     letters_of,
     oracle_crossing_free_set,
     oracle_minla,
@@ -24,9 +26,11 @@ from linarr import (
     make_graph,
     reverse,
     solve_minla_bnb,
+    solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
 )
+from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP, MAX_ORDER_EXHAUSTIVE
 
 
 class TestExhaustive:
@@ -82,6 +86,68 @@ class TestBranchAndBound:
     def test_agrees_with_exhaustive_per_order(self, n):
         for g in enumerate_connected_graphs(n):
             assert solve_minla_bnb(g).optimal_cost == solve_minla_exhaustive(g).optimal_cost
+
+
+class TestSubsetDP:
+    def test_pentagon(self, pentagon):
+        result = solve_minla_dp(pentagon)
+        assert result.optimal_cost == 9
+        assert result.witnesses == (arr_of("aebdc"),)
+        assert result.explored == 2 ** 5
+        assert result.solver_id == "subset-dp"
+
+    def test_order_zero_and_one(self):
+        assert solve_minla_dp(make_graph(0)).witnesses == (Arrangement(()),)
+        r1 = solve_minla_dp(make_graph(1))
+        assert r1.optimal_cost == 0
+        assert r1.witnesses == (Arrangement((1,)),)
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_exhaustive_optimum_and_best(self, n, dedup):
+        # The witness contract: the DP returns exactly the exhaustive
+        # solver's lexicographically smallest optimum.
+        for g in enumerate_connected_graphs(n):
+            dp = solve_minla_dp(g, dedup_reversals=dedup)
+            ex = solve_minla_exhaustive(g, dedup_reversals=dedup)
+            assert dp.optimal_cost == ex.optimal_cost
+            assert dp.best == ex.best
+            assert dp.witnesses == (dp.best,)
+            assert dp.deduped_reversals == dedup
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_order=1, max_order=7))
+    def test_matches_oracle(self, g):
+        best, witnesses = oracle_minla(g)
+        result = solve_minla_dp(g)
+        assert result.optimal_cost == best
+        assert result.best.positions == min(witnesses)
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_closed_forms(self, n):
+        # Beyond brute-force range: K_n, P_n and C_n have known optima.
+        for g, expected in [(complete_graph(n), (n ** 3 - n) // 6),
+                            (path_graph(n), n - 1),
+                            (cycle_graph(n), 2 * (n - 1))]:
+            result = solve_minla_dp(g)
+            assert result.optimal_cost == expected
+            assert cost(g, result.best) == expected
+            assert result.explored == 2 ** n
+
+
+class TestOrderLimits:
+    @pytest.mark.parametrize("solve, limit", [
+        (solve_minla_exhaustive, MAX_ORDER_EXHAUSTIVE),
+        (solve_minla_bnb, MAX_ORDER_BNB),
+        (solve_minla_dp, MAX_ORDER_DP),
+    ])
+    def test_one_vertex_too_many_is_rejected_before_solving(self, solve, limit):
+        with pytest.raises(ValidationError, match=f"order <= {limit}"):
+            solve(make_graph(limit + 1))
+
+    def test_documented_limits(self):
+        assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_BNB == 10
+        assert MAX_ORDER_DP <= 20
 
 
 class TestPlanarSolver:
