@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .arrangement import Arrangement, cost, crosses, is_planar_arrangement
+from .arrangement import Arrangement, cost, crosses
 from .errors import ParseError, ValidationError
 from .gap_search import GapReport, compute_gap, search_gap_graphs
 from .graphio import (
@@ -74,7 +74,10 @@ def _cmd_minla(args: argparse.Namespace) -> int:
     else:
         print(f"optimal cost: {result.optimal_cost}")
         print(f"witness: {witness}")
-        print(f"witnesses up to reversal: {len(result.witnesses)}")
+        # Only the exhaustive solver collects every optimum; dp and bnb
+        # return one, so a count from them would be wrong.
+        if args.solver == "exhaustive":
+            print(f"witnesses up to reversal: {len(result.witnesses)}")
         print(f"explored: {result.explored}")
         print(f"solver: {result.solver_id}")
     return 0
@@ -124,8 +127,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
     arr = parse_arrangement(args.arrangement, doc)
     total = cost(doc.graph, arr)
-    planar = is_planar_arrangement(doc.graph, arr)
     pairs = _crossing_pairs(doc, arr)
+    planar = not pairs
     if args.json:
         _print_json({
             "command": "verify",

@@ -5,14 +5,17 @@ about dominating cycle edges in crossing-free arrangements.
 The default minLA solver is a dynamic program over vertex subsets; the
 exhaustive and branch-and-bound solvers enumerate arrangements of vertices
 onto positions 1..n, the latter pruning prefixes, and are kept as
-references. Each minLA solver has a maximum order (`MAX_ORDER_*`) above
-which it raises ValidationError instead of running for hours. The planar
-search prunes prefixes by crossings and by cost; its intended scale is
-order <= 9.
+references. The crossing-free solver and `iter_crossing_free` share one
+prefix search, which drops a prefix as soon as some edge, placed or still
+to come, must cross; the solver also drops prefixes by the subset DP's
+exact cost-to-go. Each solver has a maximum order (`MAX_ORDER_*`) above
+which it raises ValidationError instead of running for hours; the
+crossing-free solver builds the subset DP's tables and shares its limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -26,10 +29,11 @@ SOLVER_BNB = "branch-and-bound"
 SOLVER_DP = "subset-dp"
 SOLVER_PLANAR = "planar-prefix"
 
-# Largest order each minLA solver accepts. At order 10 the enumerating
+# Largest order each solver accepts. At order 10 the enumerating
 # solvers already take 15 s (exhaustive, P10) to 43 s (branch-and-bound,
 # K10); the subset DP takes about 1 s for K17, its worst case. Times are
-# for one Xeon core under CPython 3.11.
+# for one Xeon core under CPython 3.11. The crossing-free solver uses
+# MAX_ORDER_DP, since it builds the same 2**n tables.
 MAX_ORDER_EXHAUSTIVE = 10
 MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
@@ -172,6 +176,34 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     return _finalize(incumbent, witnesses, explored, SOLVER_BNB, dedup_reversals)
 
 
+def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
+    """The subset DP's tables over vertex-set masks: cut[S] = |δ(S)|, and
+    ahead[S], the least sum of prefix cuts over the orderings of S, cut[S]
+    included. By reversal symmetry ahead[V - S] is the exact cost-to-go
+    from a placed set S: the least sum of cut[T] over the prefixes T ⊇ S
+    that a completion of S passes through.
+    """
+    size = 1 << g.order
+    cut = [0] * size
+    for v, nbrs in enumerate(g.neighbor_masks):
+        bit, deg = 1 << v, nbrs.bit_count()
+        for rest in range(bit):
+            cut[bit | rest] = cut[rest] + deg - 2 * (nbrs & rest).bit_count()
+    ahead = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        best = ahead[s ^ low]
+        m = s ^ low
+        while m:
+            low = m & -m
+            m ^= low
+            c = ahead[s ^ low]
+            if c < best:
+                best = c
+        ahead[s] = best + cut[s]
+    return cut, ahead
+
+
 def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     """Exact minLA as a shortest path over vertex subsets, O(2**n * n).
 
@@ -193,23 +225,7 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     n = g.order
     full = (1 << n) - 1
     size = full + 1
-    cut = [0] * size
-    for v, nbrs in enumerate(g.neighbor_masks):
-        bit, deg = 1 << v, nbrs.bit_count()
-        for rest in range(bit):
-            cut[bit | rest] = cut[rest] + deg - 2 * (nbrs & rest).bit_count()
-    ahead = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        best = ahead[s ^ low]
-        m = s ^ low
-        while m:
-            low = m & -m
-            m ^= low
-            c = ahead[s ^ low]
-            if c < best:
-                best = c
-        ahead[s] = best + cut[s]
+    cut, ahead = _subset_tables(g)
     opt = ahead[full]
     togo = ahead[::-1]
 
@@ -261,83 +277,66 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     return SolveResult(opt, (Arrangement(tuple(pos)),), size, SOLVER_DP, dedup_reversals)
 
 
-def _planar_search(g: Graph, prune_cost: bool) -> tuple[int | None, list[tuple[int, ...]], int]:
-    """Prefix search over crossing-free arrangements.
+def _crossing_free_search(g: Graph, togo: list[int] | None = None
+                          ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Depth-first prefix search over crossing-free arrangements.
 
-    A prefix dies as soon as two fully placed edges cross, since later
-    placements cannot undo a crossing. With `prune_cost`, prefixes whose
-    lower bound strictly exceeds the incumbent are abandoned as well, which
-    still retains every optimum.
+    Vertices are placed left to right, each position trying the unplaced
+    vertices in ascending index, and every complete arrangement reached is
+    yielded as (cost, positions). An "open" vertex is a placed one with an
+    unplaced neighbour, kept on a stack in position order. A vertex may be
+    placed iff its placed neighbours are exactly the top of that stack and
+    all of them but the deepest close, i.e. have no other unplaced
+    neighbour: the new edges then cover only vertices whose edges are all
+    placed, so no placed or future edge can cross them.
+
+    Cost is the running sum of prefix cuts. Given `togo`, the exact
+    cost-to-go of the subset DP indexed by placed set, a prefix is dropped
+    when its cost plus togo exceeds the best cost yielded so far; ties
+    survive, so every optimum is still yielded. Without it the stream holds
+    every crossing-free arrangement.
     """
     n = g.order
-    edges = g.sorted_edges
-    nbrs = g.neighbors
-    incumbent: int | None = None
-    witnesses: list[tuple[int, ...]] = []
-    explored = 0
+    nbrs = g.neighbor_masks
+    full = (1 << n) - 1
+    # Never reset: the path to a leaf has overwritten every entry.
     pos = [0] * n
-    spans: list[tuple[int, int]] = []
+    incumbent = math.inf
 
-    def bound(k: int, placed_cost: int) -> int:
-        b = placed_cost
-        nxt = k + 1
-        for u, v in edges:
-            pu, pv = pos[u], pos[v]
-            if pu and pv:
-                continue
-            if pu:
-                b += nxt - pu
-            elif pv:
-                b += nxt - pv
-            else:
-                b += 1
-        return b
-
-    def rec(k: int, placed_cost: int) -> None:
-        nonlocal incumbent, explored
-        if k == n:
-            explored += 1
-            if incumbent is None or placed_cost < incumbent:
-                incumbent = placed_cost
-                witnesses.clear()
-                witnesses.append(tuple(pos))
-            elif placed_cost == incumbent:
-                witnesses.append(tuple(pos))
+    def rec(placed: int, cut: int, spent: int, stack: tuple[int, ...]
+            ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        nonlocal incumbent
+        if placed == full:
+            incumbent = min(incumbent, spent)
+            yield spent, tuple(pos)
             return
-        p = k + 1
-        for v in range(n):
-            if pos[v]:
+        free = full ^ placed
+        m = free
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            nb = nbrs[v] & placed
+            k = nb.bit_count()
+            s = placed | bit
+            if togo is not None and spent + togo[s] > incumbent:
                 continue
-            ok = True
-            newcost = placed_cost
-            new_spans = []
-            for u in nbrs[v]:
-                pu = pos[u]
-                if not pu:
+            # Stack entries that stay under v: the top k - 1 close now, and
+            # the deepest neighbour stays while it has other unplaced ones.
+            keep = len(stack)
+            if k:
+                keep -= k
+                if not nb >> stack[keep] & 1 or any(
+                        nbrs[u] & free != bit for u in stack[keep + 1:]):
                     continue
-                newcost += p - pu
-                # The new edge ends at the rightmost position p, so it
-                # crosses an existing span (lo, hi) iff lo < pu < hi.
-                for lo, hi in spans:
-                    if lo < pu < hi:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                new_spans.append((pu, p))
-            if not ok:
-                continue
-            pos[v] = p
-            if not prune_cost or incumbent is None or bound(p, newcost) <= incumbent:
-                spans.extend(new_spans)
-                rec(p, newcost)
-                del spans[len(spans) - len(new_spans):]
-            pos[v] = 0
+                if nbrs[stack[keep]] & free != bit:
+                    keep += 1
+            new_cut = cut + nbrs[v].bit_count() - 2 * k
+            pos[v] = placed.bit_count() + 1
+            yield from rec(s, new_cut, spent + new_cut,
+                           stack[:keep] + (v,) if nbrs[v] & free else stack[:keep])
 
-    if n == 0:
-        return 0, [()], 1
-    rec(0, 0)
-    return incumbent, witnesses, explored
+    return rec(0, 0, 0, ())
 
 
 def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult | None:
@@ -345,12 +344,25 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
 
     Returns None when the graph admits no crossing-free arrangement. The
     witness set contains every crossing-free optimum (before reversal
-    dedup), so it doubles as the planar-optima enumerator.
+    dedup), so it doubles as the planar-optima enumerator. `explored`
+    counts the complete arrangements the pruned search reaches. The
+    search is pruned by the subset DP's tables, so it shares that solver's
+    order limit.
     """
-    optimal, witnesses, explored = _planar_search(g, prune_cost=True)
-    if optimal is None:
+    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
+    _, ahead = _subset_tables(g)
+    incumbent: int | None = None
+    witnesses: list[tuple[int, ...]] = []
+    explored = 0
+    for c, positions in _crossing_free_search(g, ahead[::-1]):
+        explored += 1
+        if incumbent is None or c < incumbent:
+            incumbent = c
+            witnesses = []
+        witnesses.append(positions)
+    if incumbent is None:
         return None
-    return _finalize(optimal, witnesses, explored, SOLVER_PLANAR, dedup_reversals)
+    return _finalize(incumbent, witnesses, explored, SOLVER_PLANAR, dedup_reversals)
 
 
 def enumerate_planar_optima(g: Graph) -> list[Arrangement] | None:
@@ -362,49 +374,14 @@ def enumerate_planar_optima(g: Graph) -> list[Arrangement] | None:
 
 
 def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:
-    """Yield every crossing-free arrangement of g, in deterministic order.
+    """Yield every crossing-free arrangement of g exactly once, in ascending
+    lexicographic order of `vertex_order()`.
 
-    Uses the same prefix search as the planar solver but without cost
-    pruning, so the stream is exhaustive.
+    Callers may rely on that order: the claim checker's witnesses are the
+    first failures in it. The stream is lazy and builds no tables.
     """
-    n = g.order
-    if n == 0:
-        yield Arrangement(())
-        return
-    nbrs = g.neighbors
-    pos = [0] * n
-    spans: list[tuple[int, int]] = []
-
-    def rec(k: int) -> Iterator[Arrangement]:
-        if k == n:
-            yield Arrangement(tuple(pos))
-            return
-        p = k + 1
-        for v in range(n):
-            if pos[v]:
-                continue
-            ok = True
-            new_spans = []
-            for u in nbrs[v]:
-                pu = pos[u]
-                if not pu:
-                    continue
-                for lo, hi in spans:
-                    if lo < pu < hi:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                new_spans.append((pu, p))
-            if not ok:
-                continue
-            pos[v] = p
-            spans.extend(new_spans)
-            yield from rec(p)
-            del spans[len(spans) - len(new_spans):]
-            pos[v] = 0
-
-    yield from rec(0)
+    for _, positions in _crossing_free_search(g):
+        yield Arrangement(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,23 @@ PENTAGON_GAP_JSON = """\
 }
 """
 
+# Golden crossing-free report: it pins `explored` and every witness, not
+# only the optimum.
+PENTAGON_PLANAR_JSON = """\
+{
+  "command": "planar-minla",
+  "explored": 6,
+  "optimal_cost": 10,
+  "planar_arrangement_exists": true,
+  "witness": "a,b,c,d,e",
+  "witnesses": [
+    "a,b,c,d,e",
+    "a,e,d,c,b",
+    "e,a,b,c,d"
+  ]
+}
+"""
+
 
 @pytest.fixture
 def pentagon_file(tmp_path):
@@ -80,6 +97,13 @@ class TestMinla:
         assert code == 1
         assert "validation error" in err
 
+    @pytest.mark.parametrize("solver, count", [("dp", None), ("bnb", None), ("exhaustive", 4)])
+    def test_human_witness_count_only_when_enumerated(self, capsys, pentagon_file, solver, count):
+        code, out, _ = run(capsys, "minla", pentagon_file, "--solver", solver)
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("witnesses up to reversal")]
+        assert lines == ([] if count is None else [f"witnesses up to reversal: {count}"])
+
     def test_explored_reported(self, capsys, pentagon_file):
         _, out, _ = run(capsys, "minla", pentagon_file, "--solver", "exhaustive", "--json")
         assert json.loads(out)["explored"] == 120
@@ -92,6 +116,18 @@ class TestPlanarMinla:
         payload = json.loads(out)
         assert payload["planar_arrangement_exists"] is True
         assert payload["optimal_cost"] == 10
+
+    def test_json_golden(self, capsys, pentagon_file):
+        code, out, _ = run(capsys, "planar-minla", pentagon_file, "--json")
+        assert code == 0
+        assert out == PENTAGON_PLANAR_JSON
+
+    def test_order_limit_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "big.edges"
+        path.write_text("".join(f"v{i}\n" for i in range(MAX_ORDER_DP + 1)))
+        code, _, err = run(capsys, "planar-minla", str(path))
+        assert code == 1
+        assert "validation error" in err
 
     def test_no_planar_arrangement(self, capsys, tmp_path):
         path = tmp_path / "k4.edges"

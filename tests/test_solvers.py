@@ -30,6 +30,7 @@ from linarr import (
     solve_minla_exhaustive,
     solve_planar_minla,
 )
+from linarr.graph import _all_graph_reps
 from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP, MAX_ORDER_EXHAUSTIVE
 
 
@@ -140,6 +141,7 @@ class TestOrderLimits:
         (solve_minla_exhaustive, MAX_ORDER_EXHAUSTIVE),
         (solve_minla_bnb, MAX_ORDER_BNB),
         (solve_minla_dp, MAX_ORDER_DP),
+        (solve_planar_minla, MAX_ORDER_DP),
     ])
     def test_one_vertex_too_many_is_rejected_before_solving(self, solve, limit):
         with pytest.raises(ValidationError, match=f"order <= {limit}"):
@@ -169,8 +171,10 @@ class TestPlanarSolver:
         assert sum(1 for _ in iter_crossing_free(cycle_graph(3))) == 6
 
     def test_matches_oracle(self, pentagon):
-        for g in [pentagon, path_graph(4), cycle_graph(5), complete_graph(4),
-                  make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])]:
+        graphs = [pentagon, path_graph(4), cycle_graph(5), complete_graph(4),
+                  make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])]
+        graphs += [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+        for g in graphs:
             best, witnesses = oracle_planar_minla(g)
             result = solve_planar_minla(g)
             if best is None:
@@ -180,11 +184,22 @@ class TestPlanarSolver:
                 assert {a.positions for a in result.witnesses} == witnesses
 
     def test_crossing_prefix_pruning_is_sound(self):
-        # The pruned stream must equal the brute-force filter.
-        for g in [path_graph(4), cycle_graph(4), complete_graph(4),
-                  make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])]:
+        # The pruned stream must equal the brute-force filter, disconnected
+        # graphs included.
+        graphs = [path_graph(4), cycle_graph(4), complete_graph(4),
+                  make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])]
+        graphs += [g for n in range(7) for g in _all_graph_reps(n)]
+        for g in graphs:
             pruned = {a.positions for a in iter_crossing_free(g)}
             assert pruned == oracle_crossing_free_set(g)
+
+    def test_stream_ascends_by_vertex_order(self):
+        # Claim witnesses are the first failures in stream order, so the
+        # order is part of the contract.
+        for n in range(7):
+            for g in _all_graph_reps(n):
+                orders = [a.vertex_order() for a in iter_crossing_free(g)]
+                assert all(a < b for a, b in zip(orders, orders[1:]))
 
 
 class TestPlanarOptima:
