@@ -26,6 +26,7 @@ from .graphio import (
 )
 from .render import FORMATS, emit_arc_diagram
 from .solvers import (
+    MAX_ORDER_SEARCH,
     check_dominating_edge_claims,
     solve_minla_bnb,
     solve_minla_dp,
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file, or - for stdin")
 
     p = add("search", _cmd_search, "search small connected graphs for gap witnesses")
-    p.add_argument("--max-order", type=int, required=True, help="largest vertex count to search")
+    p.add_argument("--max-order", type=int, required=True,
+                   help=f"largest vertex count to search, at most {MAX_ORDER_SEARCH}")
     p.add_argument("--min-gap", type=int, default=1, help="smallest gap to report (default 1)")
 
     p = add("claims", _cmd_claims, "check the dominating-edge claims for a cycle")

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
 from .arrangement import Arrangement
 from .errors import ValidationError
 from .graph import Graph, enumerate_connected_graphs, is_outerplanar
-from .solvers import solve_minla_dp, solve_planar_minla
+from .solvers import MAX_ORDER_SEARCH, solve_minla_dp, solve_planar_minla
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,28 @@ def iter_gap_reports(max_order: int,
     """Yield (order, class_index, report) for every connected class up to max_order.
 
     Emission is incremental and deterministic, so a long run interrupted at
-    (order, index) can be resumed by passing that pair as `start`.
+    (order, index) can be resumed by passing that pair as `start`. Orders
+    above MAX_ORDER_SEARCH raise ValidationError before any enumeration.
+    With more than one worker, one process pool serves every order.
     """
     if max_order < 1:
         raise ValidationError(f"max_order must be >= 1, got {max_order}")
+    if max_order > MAX_ORDER_SEARCH:
+        raise ValidationError(
+            f"the gap search accepts max_order <= {MAX_ORDER_SEARCH}, got {max_order}"
+        )
     start_order, start_index = start
     workers = _thread_count()
-    for order in range(max(1, start_order), max_order + 1):
-        first = start_index if order == start_order else 0
-        graphs = [g for i, g in enumerate(enumerate_connected_graphs(order)) if i >= first]
-        if workers > 1 and len(graphs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for order in range(max(1, start_order), max_order + 1):
+            first = start_index if order == start_order else 0
+            graphs = [g for i, g in enumerate(enumerate_connected_graphs(order)) if i >= first]
+            if pool is not None and len(graphs) > 1:
                 reports = list(pool.map(compute_gap, graphs, chunksize=8))
-        else:
-            reports = [compute_gap(g) for g in graphs]
-        for offset, report in enumerate(reports):
-            yield order, first + offset, report
+            else:
+                reports = [compute_gap(g) for g in graphs]
+            for offset, report in enumerate(reports):
+                yield order, first + offset, report
 
 
 def search_gap_graphs(max_order: int, min_gap: int) -> list[GapReport]:

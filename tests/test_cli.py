@@ -10,7 +10,7 @@ import pytest
 
 import linarr
 from linarr import emit_arc_diagram, parse_arrangement, parse_graph, run_cli
-from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP
+from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP, MAX_ORDER_SEARCH
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
 
@@ -187,6 +187,15 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--max-order", "3")
         assert code == 0
         assert "found 0 graph(s)" in out
+
+    def test_order_limit_is_validation_error(self, capsys, monkeypatch):
+        def no_enumeration(order):
+            raise AssertionError("enumeration before order check")
+
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_graphs", no_enumeration)
+        code, _, err = run(capsys, "search", "--max-order", str(MAX_ORDER_SEARCH + 1))
+        assert code == 1
+        assert "validation error" in err
 
 
 class TestRender:

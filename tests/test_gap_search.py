@@ -17,6 +17,7 @@ from linarr import (
     search_gap_graphs,
 )
 from linarr.gap_search import _thread_count
+from linarr.solvers import MAX_ORDER_SEARCH
 
 DIAMOND = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -87,6 +88,19 @@ class TestSearch:
         with pytest.raises(ValidationError):
             search_gap_graphs(4, 0)
 
+    def test_order_limit_checked_before_enumeration(self, monkeypatch):
+        def no_enumeration(order):
+            raise AssertionError("enumeration before order check")
+
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_graphs", no_enumeration)
+        with pytest.raises(ValidationError, match=f"max_order <= {MAX_ORDER_SEARCH}"):
+            search_gap_graphs(MAX_ORDER_SEARCH + 1, 1)
+        with pytest.raises(ValidationError, match=f"max_order <= {MAX_ORDER_SEARCH}"):
+            next(iter_gap_reports(MAX_ORDER_SEARCH + 1))
+
+    def test_documented_limit(self):
+        assert MAX_ORDER_SEARCH == 8
+
 
 class TestIterReports:
     def test_indices_follow_enumeration(self):
@@ -103,6 +117,30 @@ class TestIterReports:
         monkeypatch.setenv("LINARR_THREADS", "2")
         parallel = [r.graph for _, _, r in iter_gap_reports(4)]
         assert parallel == serial
+
+    def test_one_pool_serves_every_order(self, monkeypatch):
+        # A stand-in executor that runs in-process, so no pool is started.
+        built = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        serial = list(iter_gap_reports(4))
+        monkeypatch.setattr("linarr.gap_search.ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("LINARR_THREADS", "2")
+        assert list(iter_gap_reports(4)) == serial
+        assert built == [2]
 
 
 class TestThreadCount:

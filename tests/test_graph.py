@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -21,6 +23,32 @@ from linarr import (
     make_graph,
     pentagon_with_chord,
 )
+from linarr.graph import _all_graph_reps
+
+
+def relabeled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return make_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges)
+    return h
+
+
+# sha256 of repr([g.sorted_edges for g in _all_graph_reps(n)]) for n = 1..7.
+REPS_SHA256 = [
+    "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    "2c3d6db69bdab62f45d2f552b42b208efbaaf3a0c03399cc7cfbd286286e59ab",
+    "665eed67b583c3588b9ce6020ad07ce06946c9a333774e77d50cc172d6180f27",
+    "e9a1bc4e12bfb23014de54e68302d72e18f41600087a6e97bd5485a9d1b55a08",
+    "7157727bb5f7f40cd0683cdf05e8c53ac6af3e0b9b6be5f2b5d3a6562ec12a72",
+    "16d51cc21da9eac4228b8b651b532284453282a5566cc1cdcd148d2cfc93ec2e",
+    "07921b8ffb19a990ef1f6b355b1d3377d1e01dea4b9489dc06e541d2cbc2463a",
+]
 
 
 class TestMakeGraph:
@@ -75,8 +103,6 @@ class TestIsomorphism:
         assert not are_isomorphic(cycle_graph(6), two_triangles)
 
     def test_equivalence_relation_on_sample(self, pentagon):
-        import random
-
         rng = random.Random(7)
         base = [pentagon, path_graph(4), cycle_graph(5), complete_graph(4)]
         variants = []
@@ -103,6 +129,39 @@ class TestIsomorphism:
         assert canonical_form(pentagon) == canonical_form(shifted)
         assert are_isomorphic(canonical_form(pentagon), pentagon)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_networkx_on_every_pair(self, n):
+        # Every class representative of order n and a relabeling of each.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        reps = _all_graph_reps(n)
+        pool = list(reps) + [relabeled(g, rng) for g in reps]
+        nx_pool = [to_networkx(nx, g) for g in pool]
+        for (g1, h1), (g2, h2) in combinations(zip(pool, nx_pool), 2):
+            assert are_isomorphic(g1, g2) == nx.is_isomorphic(h1, h2), (g1, g2)
+
+    def test_random_relabelings_of_every_class(self):
+        rng = random.Random(11)
+        for n in range(7):
+            for g in _all_graph_reps(n):
+                for _ in range(3):
+                    h = relabeled(g, rng)
+                    assert are_isomorphic(g, h)
+                    assert canonical_form(h) == g
+
+    def test_regular_graphs_with_equal_colourings(self):
+        # Colour refinement leaves every regular graph one colour class, so
+        # only the search over orderings can tell these apart.
+        prism = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                               (0, 3), (1, 4), (2, 5)])
+        k33 = make_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        cube = make_graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)])
+        c8_chords = make_graph(8, [(i, (i + 1) % 8) for i in range(8)]
+                               + [(i, i + 4) for i in range(4)])
+        assert not are_isomorphic(prism, k33)
+        assert not are_isomorphic(cube, c8_chords)
+        assert are_isomorphic(cube, relabeled(cube, random.Random(3)))
+
 
 class TestEnumeration:
     def test_order_one(self):
@@ -120,7 +179,9 @@ class TestEnumeration:
         assert len(list(enumerate_connected_graphs(4))) == 6
 
     def test_matches_labeled_enumeration_oracle(self):
-        # Brute force every labeled graph and dedup with pairwise isomorphism.
+        # Brute force every labeled graph and dedup with networkx, so the
+        # enumeration is not checked against its own key.
+        nx = pytest.importorskip("networkx")
         for n in range(1, 5):
             pairs = list(combinations(range(n), 2))
             classes: list = []
@@ -128,13 +189,26 @@ class TestEnumeration:
                 edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
                 if not oracle_is_connected(n, edges):
                     continue
-                g = make_graph(n, edges)
-                if not any(are_isomorphic(g, h) for h in classes):
-                    classes.append(g)
-            yielded = list(enumerate_connected_graphs(n))
+                h = to_networkx(nx, make_graph(n, edges))
+                if not any(nx.is_isomorphic(h, c) for c in classes):
+                    classes.append(h)
+            yielded = [to_networkx(nx, g) for g in enumerate_connected_graphs(n)]
             assert len(yielded) == len(classes)
             for g in yielded:
-                assert sum(1 for h in classes if are_isomorphic(g, h)) == 1
+                assert sum(1 for c in classes if nx.is_isomorphic(g, c)) == 1
+
+    def test_connected_class_counts(self):
+        # OEIS A001349.
+        counts = [len(list(enumerate_connected_graphs(n))) for n in range(1, 8)]
+        assert counts == [1, 1, 2, 6, 21, 112, 853]
+
+    def test_representatives_are_pinned(self):
+        # bench/data/search.json relies on these exact representatives and
+        # their order; the digests were taken before the enumeration was
+        # sped up.
+        for n, digest in enumerate(REPS_SHA256):
+            edges = [g.sorted_edges for g in _all_graph_reps(n + 1)]
+            assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest, n + 1
 
     def test_yields_are_connected(self):
         for n in range(1, 6):

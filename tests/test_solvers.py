@@ -16,6 +16,7 @@ from conftest import (
 )
 from linarr import (
     Arrangement,
+    Graph,
     ValidationError,
     check_dominating_edge_claims,
     cost,
@@ -136,6 +137,18 @@ class TestSubsetDP:
             assert result.explored == 2 ** n
 
 
+class UnreadableGraph(Graph):
+    """A graph whose structure raises when read: every solver reads one of
+    these views before it starts work, so a solver that skips its order
+    check fails at once instead of running."""
+
+    @property
+    def sorted_edges(self):
+        raise AssertionError("work before order check")
+
+    neighbors = neighbor_masks = sorted_edges
+
+
 class TestOrderLimits:
     @pytest.mark.parametrize("solve, limit", [
         (solve_minla_exhaustive, MAX_ORDER_EXHAUSTIVE),
@@ -145,7 +158,7 @@ class TestOrderLimits:
     ])
     def test_one_vertex_too_many_is_rejected_before_solving(self, solve, limit):
         with pytest.raises(ValidationError, match=f"order <= {limit}"):
-            solve(make_graph(limit + 1))
+            solve(UnreadableGraph(limit + 1))
 
     def test_documented_limits(self):
         assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_BNB == 10
