@@ -10,7 +10,9 @@ Two graph formats are supported:
   default to "0", "1", ....
 
 Arrangements are written as comma-separated labels in position order,
-e.g. "a,e,b,d,c".
+e.g. "a,e,b,d,c", and edge subsets as "a-b,b-c". So that every emitted
+arrangement and edge can be read back, both graph parsers reject a label
+that is empty, contains "," or "-", or starts or ends with whitespace.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ class GraphDocument:
             raise UnknownLabelError(f"unknown vertex label {label!r}") from None
 
 
+def _check_label(label: str, line: int | None = None, column: int | None = None) -> None:
+    if not label or "," in label or "-" in label or label != label.strip():
+        raise ParseError(
+            f"vertex label {label!r} must be nonempty, without ',', '-' or surrounding "
+            "whitespace, so that arrangements and edges naming it can be read back",
+            line=line, column=column,
+        )
+
+
 def detect_format(text: str) -> str:
     return FORMAT_JSON if text.lstrip()[:1] in ("{", "[") else FORMAT_EDGE_LIST
 
@@ -73,6 +84,8 @@ def _parse_edge_list(text: str) -> GraphDocument:
                 f"expected at most two labels per line, got {len(tokens)}",
                 line=lineno, column=tokens[2].start() + 1,
             )
+        for token in tokens:
+            _check_label(token.group(), lineno, token.start() + 1)
         if len(tokens) == 1:
             vertex(tokens[0].group())
             continue
@@ -102,6 +115,8 @@ def _parse_json(text: str) -> GraphDocument:
         if not isinstance(raw_vertices, list) or not all(isinstance(x, str) for x in raw_vertices):
             raise ParseError('"vertices" must be a list of strings')
         labels = tuple(raw_vertices)
+        for label in labels:
+            _check_label(label)
         if len(set(labels)) != len(labels):
             raise ParseError("vertex labels must be unique")
         index = {label: i for i, label in enumerate(labels)}

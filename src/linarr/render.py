@@ -58,10 +58,17 @@ def _emit_dot(spine_labels: list[str], arcs) -> str:
     return "\n".join(lines) + "\n"
 
 
+# TeX's special characters as text-mode commands that print them.
+_TEX_SPECIALS = str.maketrans({
+    "\\": r"\textbackslash{}", "{": r"\{", "}": r"\}", "$": r"\$", "&": r"\&",
+    "#": r"\#", "^": r"\^{}", "_": r"\_", "%": r"\%", "~": r"\textasciitilde{}",
+})
+
+
 def _emit_tikz(spine_labels: list[str], arcs) -> str:
     lines = [r"\begin{tikzpicture}[every node/.style={circle,draw,inner sep=2pt}]"]
     for i, label in enumerate(spine_labels):
-        lines.append(rf"  \node (p{i + 1}) at ({i},0) {{{label}}};")
+        lines.append(rf"  \node (p{i + 1}) at ({i},0) {{{label.translate(_TEX_SPECIALS)}}};")
     for lo, hi, _, _ in arcs:
         height = f"{0.6 * (hi - lo):.1f}"
         lines.append(

@@ -7,10 +7,11 @@ exhaustive and branch-and-bound solvers enumerate arrangements of vertices
 onto positions 1..n, the latter pruning prefixes, and are kept as
 references. The crossing-free solver and `iter_crossing_free` share one
 prefix search, which drops a prefix as soon as some edge, placed or still
-to come, must cross; the solver also drops prefixes by the subset DP's
-exact cost-to-go. Each solver has a maximum order (`MAX_ORDER_*`) above
-which it raises ValidationError instead of running for hours; the
-crossing-free solver builds the subset DP's tables and shares its limit.
+to come, must cross, or no crossing-free arrangement can extend it; the
+solver also drops prefixes by the subset DP's exact cost-to-go. Each
+solver has a maximum order (`MAX_ORDER_*`) above which it raises
+ValidationError instead of running for hours; the crossing-free solver
+builds the subset DP's tables and shares its limit.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     return SolveResult(opt, (Arrangement(tuple(pos)),), size, SOLVER_DP, dedup_reversals)
 
 
-def _crossing_free_search(g: Graph, togo: list[int] | None = None
+def _crossing_free_search(g: Graph, bounded: bool = False
                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first prefix search over crossing-free arrangements.
 
@@ -291,16 +292,40 @@ def _crossing_free_search(g: Graph, togo: list[int] | None = None
     placed iff its placed neighbours are exactly the top of that stack and
     all of them but the deepest close, i.e. have no other unplaced
     neighbour: the new edges then cover only vertices whose edges are all
-    placed, so no placed or future edge can cross them.
+    placed, so no placed or future edge can cross them. An open vertex
+    leaves the stack only by closing.
 
-    Cost is the running sum of prefix cuts. Given `togo`, the exact
-    cost-to-go of the subset DP indexed by placed set, a prefix is dropped
-    when its cost plus togo exceeds the best cost yielded so far; ties
-    survive, so every optimum is still yielded. Without it the stream holds
-    every crossing-free arrangement.
+    Three more rules drop prefixes that no crossing-free arrangement
+    extends, so they change nothing that is yielded. Let v be the vertex
+    just placed and t the stack entry left directly under it.
+
+    (a) Stack contiguity: for each unplaced neighbour w of v, the placed
+        neighbours of w other than v must be the top of the stack under v.
+        An entry s between two of them leaves the stack only by closing,
+        when a vertex whose placed neighbours run from the top down to s
+        is placed; every one of them above s must then close, but w's
+        higher neighbour is among them and stays open while w is unplaced.
+    (b) One vertex per gap: at most one unplaced neighbour of v is also
+        adjacent to t. For two, x placed before y, the edges t-x and v-y
+        would cross.
+    (c) Edge count: a graph with a crossing-free arrangement has a
+        one-page book embedding, so it is outerplanar (Bernhart & Kainen,
+        "The book thickness of a graph", JCTB 27, 1979) and has at most
+        2n - 3 edges when n >= 2. A denser graph yields nothing.
+
+    Cost is the running sum of prefix cuts. When `bounded`, the subset
+    DP's exact cost-to-go togo[S] = ahead[V - S] is built (after rule (c),
+    so a graph it rejects builds no tables), and a prefix is dropped when
+    its cost plus togo exceeds the best cost yielded so far; ties survive,
+    so every optimum is still yielded. Unbounded, the stream holds every
+    crossing-free arrangement.
     """
     n = g.order
+    if n >= 2 and g.size > 2 * n - 3:
+        return iter(())
+    togo = _subset_tables(g)[1][::-1] if bounded else None
     nbrs = g.neighbor_masks
+    adj = [[w for w in range(n) if mask >> w & 1] for mask in nbrs]
     full = (1 << n) - 1
     # Never reset: the path to a leaf has overwritten every entry.
     pos = [0] * n
@@ -314,7 +339,20 @@ def _crossing_free_search(g: Graph, togo: list[int] | None = None
             yield spent, tuple(pos)
             return
         free = full ^ placed
-        m = free
+        # segs[d]: the top d stack entries as a mask. run: how many entries,
+        # from the top down, have a single unplaced neighbour.
+        depth = len(stack)
+        segs = [0]
+        reach = 0
+        for u in reversed(stack):
+            segs.append(segs[-1] | 1 << u)
+            reach |= nbrs[u]
+        run = 0
+        while run < depth and (nbrs[stack[~run]] & free).bit_count() == 1:
+            run += 1
+        # A vertex with a placed neighbour has an open one, so it needs the
+        # top of the stack among its neighbours.
+        m = free & (~reach | nbrs[stack[-1]]) if stack else free
         while m:
             bit = m & -m
             m ^= bit
@@ -326,18 +364,26 @@ def _crossing_free_search(g: Graph, togo: list[int] | None = None
                 continue
             # Stack entries that stay under v: the top k - 1 close now, and
             # the deepest neighbour stays while it has other unplaced ones.
-            keep = len(stack)
+            keep = depth
             if k:
-                keep -= k
-                if not nb >> stack[keep] & 1 or any(
-                        nbrs[u] & free != bit for u in stack[keep + 1:]):
+                if nb != segs[k] or k - 1 > run:
                     continue
+                keep -= k
                 if nbrs[stack[keep]] & free != bit:
                     keep += 1
+            top = stack[:keep]
+            later = nbrs[v] & free
+            if later:
+                if keep and (later & nbrs[top[-1]]).bit_count() > 1:
+                    continue  # (b)
+                under = segs[depth - keep]
+                if any(segs[depth - keep + (nbrs[w] & placed).bit_count()] ^ under
+                       != nbrs[w] & placed for w in adj[v] if later >> w & 1):
+                    continue  # (a)
+                top += (v,)
             new_cut = cut + nbrs[v].bit_count() - 2 * k
             pos[v] = placed.bit_count() + 1
-            yield from rec(s, new_cut, spent + new_cut,
-                           stack[:keep] + (v,) if nbrs[v] & free else stack[:keep])
+            yield from rec(s, new_cut, spent + new_cut, top)
 
     return rec(0, 0, 0, ())
 
@@ -350,14 +396,14 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
     dedup), so it doubles as the planar-optima enumerator. `explored`
     counts the complete arrangements the pruned search reaches. The
     search is pruned by the subset DP's tables, so it shares that solver's
-    order limit.
+    order limit; a graph with more than 2n - 3 edges has no crossing-free
+    arrangement and gets None before any table is built.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
-    _, ahead = _subset_tables(g)
     incumbent: int | None = None
     witnesses: list[tuple[int, ...]] = []
     explored = 0
-    for c, positions in _crossing_free_search(g, ahead[::-1]):
+    for c, positions in _crossing_free_search(g, bounded=True):
         explored += 1
         if incumbent is None or c < incumbent:
             incumbent = c

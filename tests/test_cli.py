@@ -247,6 +247,15 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_unreadable_label_is_2(self, capsys, tmp_path):
+        # The witness "a,b,c" could not be read back by `verify`.
+        path = tmp_path / "comma.json"
+        path.write_text('{"vertices": ["a,b", "c"], "edges": [["a,b", "c"]]}')
+        code, out, err = run(capsys, "minla", str(path))
+        assert code == 2
+        assert out == ""
+        assert "'a,b'" in err
+
 
 def test_python_dash_m_entry_point():
     src = str(Path(linarr.__file__).resolve().parent.parent)

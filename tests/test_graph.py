@@ -20,6 +20,7 @@ from linarr import (
     enumerate_connected_graphs,
     is_connected,
     is_outerplanar,
+    iter_crossing_free,
     make_graph,
     pentagon_with_chord,
 )
@@ -226,6 +227,16 @@ class TestEnumeration:
 
 
 class TestOuterplanarity:
+    def test_one_page_embedding_equivalence_at_order_seven(self):
+        # Bernhart & Kainen (1979): g has a crossing-free arrangement iff g
+        # is outerplanar iff g plus a vertex joined to all of g is planar.
+        nx = pytest.importorskip("networkx")
+        for g in enumerate_connected_graphs(7):
+            apex = to_networkx(nx, g)
+            apex.add_edges_from((g.order, v) for v in range(g.order))
+            one_page = next(iter_crossing_free(g), None) is not None
+            assert is_outerplanar(g) == one_page == nx.check_planarity(apex)[0], g
+
     def test_pentagon_with_chord(self, pentagon):
         assert is_outerplanar(pentagon)
 

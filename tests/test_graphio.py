@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linarr import (
     Arrangement,
@@ -101,6 +106,38 @@ class TestJsonParsing:
     def test_explicit_format_override(self):
         with pytest.raises(ParseError):
             parse_graph("a b\n", format="json")
+
+
+class TestLabelRules:
+    # A label with "," splits an emitted arrangement, one with "-" cannot be
+    # named in an edge subset, and an empty or space-padded label comes back
+    # stripped; so no parser accepts them.
+    @pytest.mark.parametrize("text, label, column", [
+        ("a b\nc a,b\n", "a,b", 3),
+        ("a-b c\n", "a-b", 1),
+        ("x\n-\n", "-", 1),
+    ])
+    def test_edge_list_rejects_unreadable_label(self, text, label, column):
+        with pytest.raises(ParseError, match=re.escape(repr(label))) as info:
+            parse_graph(text)
+        assert info.value.line == text.count("\n")
+        assert info.value.column == column
+
+    @pytest.mark.parametrize("label", ["a,b", "a-b", "", " a", "a\t"])
+    def test_json_rejects_unreadable_label(self, label):
+        with pytest.raises(ParseError, match=re.escape(repr(label))):
+            parse_graph(json.dumps({"vertices": [label, "c"], "edges": []}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text("ab_%,- ", max_size=3), min_size=1, max_size=6, unique=True),
+           st.data())
+    def test_every_accepted_label_round_trips_in_arrangements(self, labels, data):
+        try:
+            doc = parse_graph(json.dumps({"vertices": labels, "edges": []}))
+        except ParseError:
+            return
+        arr = Arrangement.from_vertex_order(data.draw(st.permutations(range(len(labels)))))
+        assert parse_arrangement(emit_arrangement(arr, doc.labels), doc) == arr
 
 
 class TestRoundTrip:

@@ -38,6 +38,44 @@ K2_SVG = """\
 </svg>
 """
 
+# A triangle whose labels hold TeX specials. DOT and SVG output are pinned
+# as they were before TikZ labels were escaped.
+SPECIAL_LABELS = ("a_1", "b%", "{$&#^~}\\")
+SPECIAL_ARR = Arrangement((2, 1, 3))
+
+SPECIAL_DOT = """\
+graph arrangement {
+  layout=neato
+  splines=curved
+  node [shape=circle fixedsize=true width=0.4]
+  "b%" [pos="0,0!"]
+  "a_1" [pos="1,0!"]
+  "{$&#^~}\\\\" [pos="2,0!"]
+  "b%" -- "a_1"
+  "b%" -- "{$&#^~}\\\\"
+  "a_1" -- "{$&#^~}\\\\"
+}
+"""
+
+SPECIAL_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="180" height="112" viewBox="0 0 180 112">
+  <path d="M 30 70 Q 60 22 90 70" fill="none" stroke="black"/>
+  <path d="M 30 70 Q 90 -26 150 70" fill="none" stroke="black"/>
+  <path d="M 90 70 Q 120 22 150 70" fill="none" stroke="black"/>
+  <circle cx="30" cy="70" r="12" fill="white" stroke="black"/>
+  <text x="30" y="74" text-anchor="middle" font-size="12">b%</text>
+  <circle cx="90" cy="70" r="12" fill="white" stroke="black"/>
+  <text x="90" y="74" text-anchor="middle" font-size="12">a_1</text>
+  <circle cx="150" cy="70" r="12" fill="white" stroke="black"/>
+  <text x="150" y="74" text-anchor="middle" font-size="12">{$&amp;#^~}\\</text>
+</svg>
+"""
+
+
+def triangle():
+    return make_graph(3, [(0, 1), (1, 2), (0, 2)])
+
 
 class TestDot:
     def test_pentagon_golden(self, pentagon):
@@ -55,11 +93,17 @@ class TestDot:
         assert "digraph" not in out
         assert "->" not in out
 
+    def test_tex_specials_golden(self):
+        assert emit_arc_diagram(triangle(), SPECIAL_ARR, "dot", SPECIAL_LABELS) == SPECIAL_DOT
+
 
 class TestSvg:
     def test_k2_golden(self):
         g = make_graph(2, [(0, 1)])
         assert emit_arc_diagram(g, Arrangement((1, 2)), "svg") == K2_SVG
+
+    def test_tex_specials_golden(self):
+        assert emit_arc_diagram(triangle(), SPECIAL_ARR, "svg", SPECIAL_LABELS) == SPECIAL_SVG
 
     def test_one_arc_per_edge(self, pentagon):
         out = emit_arc_diagram(pentagon, arr_of("abcde"), "svg", LABELS)
@@ -86,6 +130,16 @@ class TestTikz:
         assert out.rstrip().endswith(r"\end{tikzpicture}")
         assert out.count(r"\node") == 5
         assert out.count(r"\draw") == 6
+
+    def test_tex_specials_are_escaped(self):
+        # Raw, "_" breaks outside math mode and "%" comments out the "};".
+        out = emit_arc_diagram(triangle(), SPECIAL_ARR, "tikz", SPECIAL_LABELS)
+        nodes = [line for line in out.splitlines() if r"\node" in line]
+        assert nodes == [
+            r"  \node (p1) at (0,0) {b\%};",
+            r"  \node (p2) at (1,0) {a\_1};",
+            r"  \node (p3) at (2,0) {\{\$\&\#\^{}\textasciitilde{}\}\textbackslash{}};",
+        ]
 
 
 class TestContract:

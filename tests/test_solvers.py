@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -33,6 +35,19 @@ from linarr import (
 )
 from linarr.graph import _all_graph_reps
 from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP, MAX_ORDER_EXHAUSTIVE
+
+# sha256 over the graphs of _all_graph_reps(7) of repr([a.positions for a in
+# iter_crossing_free(g)]), taken before the search dropped dead prefixes.
+ORDER7_STREAM_SHA256 = "a87b88d23fb3db32087b944382d12ebb04b4c368c1c3bc140b028bd2f9c6ab9b"
+
+# Order-8 graphs whose searches reach prefixes that the stack-contiguity
+# and one-vertex-per-gap rules drop. The K2,3 subdivision keeps the 4-cycle
+# 0-2-1-3 and subdivides the path through 4.
+ORDER8_RULE_GRAPHS = {
+    "C8-chords": cycle_graph(8).edges | {(0, 4), (1, 3)},
+    "C5-3pendants": cycle_graph(5).edges | {(0, 5), (1, 6), (2, 7)},
+    "K23-subdivision": [(0, 2), (2, 1), (0, 3), (3, 1), (0, 5), (5, 6), (6, 4), (4, 7), (7, 1)],
+}
 
 
 class TestExhaustive:
@@ -205,6 +220,30 @@ class TestPlanarSolver:
         for g in graphs:
             pruned = {a.positions for a in iter_crossing_free(g)}
             assert pruned == oracle_crossing_free_set(g)
+
+    def test_stream_is_pinned_at_order_seven(self):
+        # The brute-force oracle is too slow for all 1,044 graphs of order 7.
+        digest = hashlib.sha256()
+        for g in _all_graph_reps(7):
+            digest.update(repr([a.positions for a in iter_crossing_free(g)]).encode())
+        assert digest.hexdigest() == ORDER7_STREAM_SHA256
+
+    @pytest.mark.parametrize("name", ORDER8_RULE_GRAPHS)
+    def test_dead_prefix_rules_match_oracle_at_order_eight(self, name):
+        g = make_graph(8, ORDER8_RULE_GRAPHS[name])
+        assert {a.positions for a in iter_crossing_free(g)} == oracle_crossing_free_set(g)
+
+    def test_too_many_edges_for_outerplanar_builds_no_tables(self, monkeypatch):
+        # The 6-wheel has 12 > 2n - 3 edges, so no crossing-free arrangement.
+        wheel = make_graph(7, [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
+        assert wheel.size == 12
+        assert list(iter_crossing_free(wheel)) == []
+
+        def no_tables(g):
+            raise AssertionError("subset tables built for a graph with too many edges")
+
+        monkeypatch.setattr("linarr.solvers._subset_tables", no_tables)
+        assert solve_planar_minla(wheel) is None
 
     def test_stream_ascends_by_vertex_order(self):
         # Claim witnesses are the first failures in stream order, so the
