@@ -44,9 +44,15 @@ class GapReport:
 
 
 def compute_gap(g: Graph) -> GapReport:
-    """Run both exact solvers and the outerplanarity test on one graph."""
+    """Run the outerplanarity test and both exact solvers on one graph.
+
+    The crossing-free solver runs only on outerplanar graphs: a graph has a
+    crossing-free arrangement iff it is outerplanar (Bernhart & Kainen
+    1979), so on any other graph the solver could only return None.
+    """
+    outerplanar = is_outerplanar(g)
     minla = solve_minla_dp(g)
-    planar = solve_planar_minla(g, dedup_reversals=True)
+    planar = solve_planar_minla(g, dedup_reversals=True) if outerplanar else None
     if planar is None:
         planar_opt = None
         gap = None
@@ -62,7 +68,7 @@ def compute_gap(g: Graph) -> GapReport:
         gap=gap,
         minla_witness=minla.best,
         planar_witness=planar_witness,
-        outerplanar=is_outerplanar(g),
+        outerplanar=outerplanar,
     )
 
 

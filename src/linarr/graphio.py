@@ -11,8 +11,8 @@ Two graph formats are supported:
 
 Arrangements are written as comma-separated labels in position order,
 e.g. "a,e,b,d,c", and edge subsets as "a-b,b-c". So that every emitted
-arrangement and edge can be read back, both graph parsers reject a label
-that is empty, contains "," or "-", or starts or ends with whitespace.
+graph, arrangement and edge can be read back, both graph parsers reject a
+label that is empty or contains ",", "-", "#" or whitespace.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ FORMAT_EDGE_LIST = "edge-list"
 FORMAT_JSON = "json"
 
 _TOKEN = re.compile(r"\S+")
+_UNREADABLE = re.compile(r"[,\-#\s]")
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,10 @@ class GraphDocument:
 
 
 def _check_label(label: str, line: int | None = None, column: int | None = None) -> None:
-    if not label or "," in label or "-" in label or label != label.strip():
+    if not label or _UNREADABLE.search(label):
         raise ParseError(
-            f"vertex label {label!r} must be nonempty, without ',', '-' or surrounding "
-            "whitespace, so that arrangements and edges naming it can be read back",
+            f"vertex label {label!r} must be nonempty, without ',', '-', '#' or "
+            "whitespace, so that graphs, arrangements and edges naming it can be read back",
             line=line, column=column,
         )
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_bipartite, complete_graph, cycle_graph
 from linarr import (
     ValidationError,
     are_isomorphic,
@@ -16,6 +16,7 @@ from linarr import (
     pentagon_with_chord,
     search_gap_graphs,
 )
+import linarr.gap_search
 from linarr.gap_search import _thread_count
 from linarr.solvers import MAX_ORDER_SEARCH
 
@@ -41,6 +42,18 @@ class TestComputeGap:
         assert report.gap is None
         assert report.planar_witness is None
         assert not report.outerplanar
+
+    def test_planar_solver_runs_only_on_outerplanar_graphs(self, monkeypatch):
+        # K2,3 passes the engine's edge-count rule, so only the
+        # outerplanarity gate keeps the solver from searching it.
+        def no_call(*args, **kwargs):
+            raise AssertionError("crossing-free solve of a non-outerplanar graph")
+
+        monkeypatch.setattr(linarr.gap_search, "solve_planar_minla", no_call)
+        for g in [complete_graph(4), complete_bipartite(2, 3)]:
+            report = compute_gap(g)
+            assert not report.outerplanar
+            assert report.planar_opt is None and report.gap is None
 
     def test_witnesses_reverify(self, pentagon):
         for g in [pentagon, DIAMOND, cycle_graph(4)]:

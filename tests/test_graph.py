@@ -24,7 +24,8 @@ from linarr import (
     make_graph,
     pentagon_with_chord,
 )
-from linarr.graph import _all_graph_reps
+import linarr.graph
+from linarr.graph import _all_graph_reps, _twin_cells
 
 
 def relabeled(g, rng):
@@ -203,6 +204,27 @@ class TestEnumeration:
         counts = [len(list(enumerate_connected_graphs(n))) for n in range(1, 8)]
         assert counts == [1, 1, 2, 6, 21, 112, 853]
 
+    def test_all_graph_class_counts(self):
+        # OEIS A000088.
+        counts = [len(_all_graph_reps(n)) for n in range(1, 8)]
+        assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+    def test_extensions_keyed_per_order(self, monkeypatch):
+        # The twin-cell and minimum-degree rules leave these one-vertex
+        # extensions to key; without them all 2^(n-1) extensions of every
+        # representative of order n - 1 were keyed (11,290 up to order 7).
+        keyed = [0] * 8
+        iso_key = linarr.graph._iso_key
+
+        def counting(g):
+            keyed[g.order] += 1
+            return iso_key(g)
+
+        monkeypatch.setattr(linarr.graph, "_iso_key", counting)
+        _all_graph_reps.cache_clear()
+        _all_graph_reps(7)
+        assert keyed[1:] == [1, 2, 4, 11, 42, 221, 1808]
+
     def test_representatives_are_pinned(self):
         # bench/data/search.json relies on these exact representatives and
         # their order; the digests were taken before the enumeration was
@@ -224,6 +246,26 @@ class TestEnumeration:
     def test_rejects_order_zero(self):
         with pytest.raises(ValidationError):
             list(enumerate_connected_graphs(0))
+
+
+class TestTwinCells:
+    @pytest.mark.parametrize("g, cells", [
+        (complete_bipartite(1, 3), [[0], [1, 2, 3]]),
+        (complete_graph(4), [[0, 1, 2, 3]]),
+        (path_graph(4), [[0], [1], [2], [3]]),
+        (cycle_graph(4), [[0, 2], [1, 3]]),
+    ], ids=["K1,3", "K4", "P4", "C4"])
+    def test_cells(self, g, cells):
+        assert _twin_cells(g.neighbor_masks) == cells
+
+    def test_swapping_twins_is_an_automorphism(self):
+        for n in range(1, 7):
+            for g in _all_graph_reps(n):
+                for cell in _twin_cells(g.neighbor_masks):
+                    for v, w in combinations(cell, 2):
+                        swap = {v: w, w: v}
+                        assert make_graph(n, [(swap.get(a, a), swap.get(b, b))
+                                              for a, b in g.edges]) == g
 
 
 class TestOuterplanarity:

@@ -123,21 +123,29 @@ class TestLabelRules:
         assert info.value.line == text.count("\n")
         assert info.value.column == column
 
-    @pytest.mark.parametrize("label", ["a,b", "a-b", "", " a", "a\t"])
+    @pytest.mark.parametrize("label", ["a,b", "a-b", "", " a", "a\t", "a#b", "a b", "a\nb"])
     def test_json_rejects_unreadable_label(self, label):
         with pytest.raises(ParseError, match=re.escape(repr(label))):
             parse_graph(json.dumps({"vertices": [label, "c"], "edges": []}))
 
+    # A "#" in an edge list starts a comment, and whitespace splits tokens.
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.text("ab_%,- ", max_size=3), min_size=1, max_size=6, unique=True),
+    @given(st.lists(st.text("ab_%,-#{ \t", max_size=3), min_size=1, max_size=6, unique=True),
            st.data())
-    def test_every_accepted_label_round_trips_in_arrangements(self, labels, data):
+    def test_every_accepted_label_round_trips(self, labels, data):
+        pairs = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
         try:
-            doc = parse_graph(json.dumps({"vertices": labels, "edges": []}))
+            doc = parse_graph(json.dumps({"vertices": labels, "edges": edges}))
         except ParseError:
             return
         arr = Arrangement.from_vertex_order(data.draw(st.permutations(range(len(labels)))))
         assert parse_arrangement(emit_arrangement(arr, doc.labels), doc) == arr
+        again = parse_graph(emit_graph(doc.graph, doc.labels, "json"), "json")
+        assert again.labels == doc.labels and again.graph == doc.graph
+        again = parse_graph(emit_graph(doc.graph, doc.labels, "edge-list"), "edge-list")
+        assert sorted(again.labels) == sorted(doc.labels)
+        assert labeled_edges(again) == labeled_edges(doc)
 
 
 class TestRoundTrip:
