@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 from .graph import Edge, Graph, normalize_edge
@@ -114,15 +114,19 @@ def dominates(arr: Arrangement, e1: Iterable[int], e2: Iterable[int]) -> bool:
     return lo2 <= lo1 and hi1 <= hi2
 
 
-def is_planar_arrangement(g: Graph, arr: Arrangement) -> bool:
-    """True iff no two distinct edges of g cross in arr (pairwise check)."""
+def _iter_crossings(g: Graph, arr: Arrangement) -> Iterator[tuple[Edge, Edge]]:
+    """Yield each crossing pair of g's edges in arr, in sorted edge order."""
     _check_arity(g, arr)
     pos = arr.positions
     spans = []
     for u, v in g.sorted_edges:
         pu, pv = pos[u], pos[v]
-        spans.append((pu, pv) if pu < pv else (pv, pu))
-    for (lo1, hi1), (lo2, hi2) in combinations(spans, 2):
+        spans.append(((u, v), (pu, pv) if pu < pv else (pv, pu)))
+    for (e1, (lo1, hi1)), (e2, (lo2, hi2)) in combinations(spans, 2):
         if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
-            return False
-    return True
+            yield e1, e2
+
+
+def is_planar_arrangement(g: Graph, arr: Arrangement) -> bool:
+    """True iff no two distinct edges of g cross in arr (pairwise check)."""
+    return next(_iter_crossings(g, arr), None) is None

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .arrangement import Arrangement, cost, crosses
+from .arrangement import Arrangement, _iter_crossings, cost
 from .errors import ParseError, ValidationError
 from .gap_search import GapReport, compute_gap, search_gap_graphs
 from .graphio import (
@@ -112,16 +112,9 @@ def _cmd_planar_minla(args: argparse.Namespace) -> int:
 
 
 def _crossing_pairs(doc: GraphDocument, arr: Arrangement) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-    edges = doc.graph.sorted_edges
-    pairs = []
-    for i, e1 in enumerate(edges):
-        for e2 in edges[i + 1:]:
-            if crosses(arr, e1, e2):
-                pairs.append((
-                    (doc.labels[e1[0]], doc.labels[e1[1]]),
-                    (doc.labels[e2[0]], doc.labels[e2[1]]),
-                ))
-    return pairs
+    lab = doc.labels
+    return [((lab[a], lab[b]), (lab[c], lab[d]))
+            for (a, b), (c, d) in _iter_crossings(doc.graph, arr)]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -2,8 +2,8 @@
 
 Vertices are the integers 0..order-1; edges are unordered pairs stored as
 sorted tuples. The module also provides exact isomorphism testing,
-enumeration of connected graphs up to isomorphism, and outerplanarity
-recognition via the two forbidden minors K4 and K2,3.
+enumeration of connected graphs up to isomorphism, and linear-time
+outerplanarity recognition.
 
 Isomorphism rests on one backtracking search for the minimum adjacency key
 over vertex orderings. Unrestricted, it gives the canonical form. Restricted
@@ -14,15 +14,14 @@ classes, so the unrestricted search runs once per class. Enumeration adds
 one vertex to each smaller representative and, before keying, skips the
 extensions that twin cells or a minimum-degree argument show to be covered
 by another extension. Everything here is exact; enumeration is intended
-for orders up to 8 (12,346 classes), the outerplanarity test for orders up
-to about 10.
+for orders up to 8 (12,346 classes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -340,89 +339,46 @@ def enumerate_connected_graphs(order: int) -> Iterator[Graph]:
             yield g
 
 
-# ---------------------------------------------------------------------------
-# Outerplanarity via forbidden minors
-# ---------------------------------------------------------------------------
-#
-# A graph is outerplanar iff it has neither a K4 minor nor a K2,3 minor.
-# Both forbidden graphs have maximum degree 3, so minor containment
-# coincides with topological containment; the search therefore looks for
-# subdivisions directly: branch vertices joined by internally disjoint paths.
-
-
-def _iter_paths(masks: tuple[int, ...], cur: int, target: int, blocked: int,
-                internal: int) -> Iterator[int]:
-    """Yield the internal-vertex mask of each simple cur->target path.
-
-    Intermediate vertices must avoid `blocked`; `internal` accumulates the
-    vertices used so far on this path.
-    """
-    m = masks[cur]
-    if m >> target & 1:
-        yield internal
-    m &= ~blocked
-    while m:
-        w = (m & -m).bit_length() - 1
-        m &= m - 1
-        if w == target:
-            continue
-        yield from _iter_paths(masks, w, target, blocked | 1 << w, internal | 1 << w)
-
-
-def _link_pairs(masks: tuple[int, ...], pairs: list[tuple[int, int]], blocked: int,
-                need_internal: bool) -> bool:
-    """Can all (s, t) pairs be joined by internally disjoint paths?"""
-    if not pairs:
-        return True
-    s, t = pairs[0]
-    for internal in _iter_paths(masks, s, t, blocked, 0):
-        if need_internal and internal == 0:
-            continue
-        if _link_pairs(masks, pairs[1:], blocked | internal, need_internal):
-            return True
-    return False
-
-
-def _has_k4_minor(g: Graph) -> bool:
-    n = g.order
-    if n < 4 or g.size < 6:
-        return False
-    masks = g.neighbor_masks
-    # Quick subgraph check: four mutually adjacent vertices.
-    for quad in combinations(range(n), 4):
-        if all(masks[u] >> v & 1 for u, v in combinations(quad, 2)):
-            return True
-    for branch in combinations(range(n), 4):
-        blocked = 0
-        for v in branch:
-            blocked |= 1 << v
-        pairs = list(combinations(branch, 2))
-        if _link_pairs(masks, pairs, blocked, need_internal=False):
-            return True
-    return False
-
-
-def _has_k23_minor(g: Graph) -> bool:
-    n = g.order
-    if n < 5 or g.size < 6:
-        return False
-    masks = g.neighbor_masks
-    # Quick subgraph check: two vertices with three common neighbors.
-    for u, v in combinations(range(n), 2):
-        if bin(masks[u] & masks[v] & ~(1 << u | 1 << v)).count("1") >= 3:
-            return True
-    for s, t in combinations(range(n), 2):
-        pairs = [(s, t), (s, t), (s, t)]
-        if _link_pairs(masks, pairs, 1 << s | 1 << t, need_internal=True):
-            return True
-    return False
-
-
 def is_outerplanar(g: Graph) -> bool:
-    """True iff g contains neither a K4 minor nor a K2,3 minor.
+    """True iff g can be drawn in the plane with every vertex on the outer face.
 
     Equivalently, g admits a crossing-free linear arrangement; the two
-    characterizations are cross-checked in the test suite. Intended scale
-    is order <= 10.
+    characterizations are cross-checked in the test suite. The test is the
+    degree-2 elimination of S. L. Mitchell (IPL 9(5), 1979). Every current
+    edge carries a label: 0 free, 1 must lie on the outer face, 2 must be a
+    bridge. A vertex of degree <= 1 is removed. A degree-2 vertex v with
+    neighbours u, w is removed too: if uw is not an edge, the path u-v-w
+    becomes a new edge uw, which lies on the outer face as v did; if uw is
+    an edge, the triangle uvw is a face on one more side of uw, which fails
+    when any of its edges must be a bridge. g is outerplanar iff every
+    vertex is removed.
     """
-    return not _has_k4_minor(g) and not _has_k23_minor(g)
+    n = g.order
+    adj = list(g.neighbor_masks)
+    label = dict.fromkeys(g.edges, 0)
+    todo = [v for v in range(n) if adj[v].bit_count() <= 2]
+    gone = 0
+    while todo:
+        v = todo.pop()
+        m = adj[v]
+        if gone >> v & 1 or m.bit_count() > 2:
+            continue
+        # The lowest and the highest neighbour, of at most two.
+        ends = [(m & -m).bit_length() - 1, m.bit_length() - 1][:m.bit_count()]
+        sides = [label.pop((u, v) if u < v else (v, u)) for u in ends]
+        if len(ends) == 2:
+            u, w = ends
+            if adj[u] >> w & 1:
+                if max(*sides, label[u, w]) == 2:
+                    return False
+                label[u, w] += 1
+            else:
+                label[u, w] = max(*sides, 1)
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+        for u in ends:
+            adj[u] &= ~(1 << v)
+            if adj[u].bit_count() <= 2:
+                todo.append(u)
+        gone |= 1 << v
+    return gone == (1 << n) - 1

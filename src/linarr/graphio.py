@@ -11,8 +11,10 @@ Two graph formats are supported:
 
 Arrangements are written as comma-separated labels in position order,
 e.g. "a,e,b,d,c", and edge subsets as "a-b,b-c". So that every emitted
-graph, arrangement and edge can be read back, both graph parsers reject a
-label that is empty or contains ",", "-", "#" or whitespace.
+graph, arrangement and edge can be read back, both graph parsers and
+`emit_graph` reject a label that is empty, contains ",", "-", "#" or
+whitespace, or starts with "{" or "[" (an edge list starting so would be
+detected as JSON).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ FORMAT_EDGE_LIST = "edge-list"
 FORMAT_JSON = "json"
 
 _TOKEN = re.compile(r"\S+")
-_UNREADABLE = re.compile(r"[,\-#\s]")
+_UNREADABLE = re.compile(r"^[{\[]|[,\-#\s]")
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ def _check_label(label: str, line: int | None = None, column: int | None = None)
     if not label or _UNREADABLE.search(label):
         raise ParseError(
             f"vertex label {label!r} must be nonempty, without ',', '-', '#' or "
-            "whitespace, so that graphs, arrangements and edges naming it can be read back",
+            "whitespace and not starting with '{' or '[', so that graphs, "
+            "arrangements and edges naming it can be read back",
             line=line, column=column,
         )
 
@@ -169,10 +172,15 @@ def default_labels(g: Graph) -> tuple[str, ...]:
 
 def emit_graph(g: Graph, labels: Sequence[str] | None = None,
                format: str = FORMAT_EDGE_LIST) -> str:
-    """Serialize a graph; inverse of parse_graph for both formats."""
+    """Serialize a graph; inverse of parse_graph for both formats.
+
+    Labels the parsers would reject raise ParseError here too.
+    """
     labels = tuple(labels) if labels is not None else default_labels(g)
     if len(labels) != g.order:
         raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")
+    for label in labels:
+        _check_label(label)
     if format == FORMAT_EDGE_LIST:
         lines = [f"{labels[u]} {labels[v]}" for u, v in g.sorted_edges]
         covered = {v for e in g.edges for v in e}

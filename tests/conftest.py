@@ -108,6 +108,84 @@ def oracle_is_connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
+def _oracle_paths(masks, cur: int, target: int, blocked: int, internal: int):
+    """Yield the internal-vertex mask of each simple cur->target path.
+
+    Intermediate vertices must avoid `blocked`; `internal` accumulates the
+    vertices used so far on this path.
+    """
+    m = masks[cur]
+    if m >> target & 1:
+        yield internal
+    m &= ~blocked
+    while m:
+        w = (m & -m).bit_length() - 1
+        m &= m - 1
+        if w == target:
+            continue
+        yield from _oracle_paths(masks, w, target, blocked | 1 << w, internal | 1 << w)
+
+
+def _oracle_link_pairs(masks, pairs: list[tuple[int, int]], blocked: int,
+                       need_internal: bool) -> bool:
+    """Can all (s, t) pairs be joined by internally disjoint paths?"""
+    if not pairs:
+        return True
+    s, t = pairs[0]
+    for internal in _oracle_paths(masks, s, t, blocked, 0):
+        if need_internal and internal == 0:
+            continue
+        if _oracle_link_pairs(masks, pairs[1:], blocked | internal, need_internal):
+            return True
+    return False
+
+
+def _oracle_has_k4_minor(g: Graph) -> bool:
+    n = g.order
+    if n < 4 or g.size < 6:
+        return False
+    masks = g.neighbor_masks
+    # Quick subgraph check: four mutually adjacent vertices.
+    for quad in combinations(range(n), 4):
+        if all(masks[u] >> v & 1 for u, v in combinations(quad, 2)):
+            return True
+    for branch in combinations(range(n), 4):
+        blocked = 0
+        for v in branch:
+            blocked |= 1 << v
+        pairs = list(combinations(branch, 2))
+        if _oracle_link_pairs(masks, pairs, blocked, need_internal=False):
+            return True
+    return False
+
+
+def _oracle_has_k23_minor(g: Graph) -> bool:
+    n = g.order
+    if n < 5 or g.size < 6:
+        return False
+    masks = g.neighbor_masks
+    # Quick subgraph check: two vertices with three common neighbors.
+    for u, v in combinations(range(n), 2):
+        if bin(masks[u] & masks[v] & ~(1 << u | 1 << v)).count("1") >= 3:
+            return True
+    for s, t in combinations(range(n), 2):
+        pairs = [(s, t), (s, t), (s, t)]
+        if _oracle_link_pairs(masks, pairs, 1 << s | 1 << t, need_internal=True):
+            return True
+    return False
+
+
+def oracle_is_outerplanar(g: Graph) -> bool:
+    """True iff g contains neither a K4 minor nor a K2,3 minor.
+
+    Both forbidden graphs have maximum degree 3, so minor containment
+    coincides with topological containment; the search therefore looks for
+    subdivisions directly: branch vertices joined by internally disjoint
+    paths. Exponential, so meant for orders up to about 10.
+    """
+    return not _oracle_has_k4_minor(g) and not _oracle_has_k23_minor(g)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies
 # ---------------------------------------------------------------------------

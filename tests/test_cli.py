@@ -10,7 +10,7 @@ import pytest
 
 import linarr
 from linarr import emit_arc_diagram, parse_arrangement, parse_graph, run_cli
-from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP, MAX_ORDER_SEARCH
+from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_CLAIMS, MAX_ORDER_DP, MAX_ORDER_SEARCH
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
 
@@ -172,6 +172,16 @@ class TestClaims:
         code, _, err = run(capsys, "claims", pentagon_file, "--cycle", "a-b,b-c")
         assert code == 1
         assert "validation error" in err
+
+    def test_order_limit_is_validation_error(self, capsys, tmp_path):
+        n = MAX_ORDER_CLAIMS + 1
+        path = tmp_path / "cycle.edges"
+        path.write_text("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)))
+        cycle = ",".join(f"v{i}-v{(i + 1) % n}" for i in range(n))
+        code, out, err = run(capsys, "claims", str(path), "--cycle", cycle)
+        assert code == 1
+        assert out == ""
+        assert f"order <= {MAX_ORDER_CLAIMS}, got {n}" in err
 
 
 class TestSearch:

@@ -11,6 +11,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     oracle_is_connected,
+    oracle_is_outerplanar,
     path_graph,
 )
 from linarr import (
@@ -39,6 +40,19 @@ def to_networkx(nx, g):
     h.add_nodes_from(range(g.order))
     h.add_edges_from(g.edges)
     return h
+
+
+def triangulated_polygon(n, rng):
+    """Edges of a random triangulation of the polygon 0, 1, ..., n-1."""
+    edges = {(i, i + 1) for i in range(n - 1)}
+    sides = [(0, n - 1)]
+    while sides:
+        a, b = sides.pop()
+        edges.add((a, b))
+        if b - a > 1:
+            k = rng.randint(a + 1, b - 1)
+            sides += [(a, k), (k, b)]
+    return edges
 
 
 # sha256 of repr([g.sorted_edges for g in _all_graph_reps(n)]) for n = 1..7.
@@ -278,6 +292,48 @@ class TestOuterplanarity:
             apex.add_edges_from((g.order, v) for v in range(g.order))
             one_page = next(iter_crossing_free(g), None) is not None
             assert is_outerplanar(g) == one_page == nx.check_planarity(apex)[0], g
+
+    def test_matches_minor_oracle_on_every_graph_to_order_eight(self):
+        # All 13,598 graphs of orders 1..8, disconnected ones included.
+        for n in range(1, 9):
+            for g in _all_graph_reps(n):
+                assert is_outerplanar(g) == oracle_is_outerplanar(g), g
+
+    def test_random_families_up_to_order_forty(self):
+        # Subgraphs of polygon triangulations are outerplanar; one added
+        # non-edge may or may not keep them so, as apex planarity decides.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2024)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(4, 40)
+            g = relabeled(make_graph(n, [
+                e for e in triangulated_polygon(n, rng) if rng.random() < 0.7
+            ]), rng)
+            assert is_outerplanar(g), g
+            u, w = rng.choice([e for e in combinations(range(n), 2) if e not in g.edges])
+            h = make_graph(n, g.edges | {(u, w)})
+            apex = to_networkx(nx, h)
+            apex.add_edges_from((n, v) for v in range(n))
+            verdict = nx.check_planarity(apex)[0]
+            assert is_outerplanar(h) == verdict, h
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("edges, expected", [
+        # K2,3 plus the edge between its hubs: three triangles on one edge.
+        ([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)], False),
+        # A fan: a hub joined to every vertex of a path.
+        ([(0, i) for i in range(1, 6)] + [(i, i + 1) for i in range(1, 5)], True),
+        # Two triangles joined by a bridge.
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)], True),
+    ], ids=["k23-plus-hub-edge", "fan", "bridged-triangles"])
+    def test_edge_label_rules(self, edges, expected):
+        g = make_graph(1 + max(v for e in edges for v in e), edges)
+        assert is_outerplanar(g) == expected
+        rng = random.Random(7)
+        for _ in range(20):
+            assert is_outerplanar(relabeled(g, rng)) == expected
 
     def test_pentagon_with_chord(self, pentagon):
         assert is_outerplanar(pentagon)

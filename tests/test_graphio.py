@@ -116,6 +116,7 @@ class TestLabelRules:
         ("a b\nc a,b\n", "a,b", 3),
         ("a-b c\n", "a-b", 1),
         ("x\n-\n", "-", 1),
+        ("x\n[a\n", "[a", 1),
     ])
     def test_edge_list_rejects_unreadable_label(self, text, label, column):
         with pytest.raises(ParseError, match=re.escape(repr(label))) as info:
@@ -123,14 +124,16 @@ class TestLabelRules:
         assert info.value.line == text.count("\n")
         assert info.value.column == column
 
-    @pytest.mark.parametrize("label", ["a,b", "a-b", "", " a", "a\t", "a#b", "a b", "a\nb"])
+    @pytest.mark.parametrize("label", ["a,b", "a-b", "", " a", "a\t", "a#b", "a b", "a\nb",
+                                       "{a", "[a"])
     def test_json_rejects_unreadable_label(self, label):
         with pytest.raises(ParseError, match=re.escape(repr(label))):
             parse_graph(json.dumps({"vertices": [label, "c"], "edges": []}))
 
-    # A "#" in an edge list starts a comment, and whitespace splits tokens.
+    # A "#" in an edge list starts a comment, whitespace splits tokens, and a
+    # leading "{" or "[" makes auto-detection read the text as JSON.
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.text("ab_%,-#{ \t", max_size=3), min_size=1, max_size=6, unique=True),
+    @given(st.lists(st.text("ab_%,-#{[ \t", max_size=3), min_size=1, max_size=6, unique=True),
            st.data())
     def test_every_accepted_label_round_trips(self, labels, data):
         pairs = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
@@ -143,7 +146,7 @@ class TestLabelRules:
         assert parse_arrangement(emit_arrangement(arr, doc.labels), doc) == arr
         again = parse_graph(emit_graph(doc.graph, doc.labels, "json"), "json")
         assert again.labels == doc.labels and again.graph == doc.graph
-        again = parse_graph(emit_graph(doc.graph, doc.labels, "edge-list"), "edge-list")
+        again = parse_graph(emit_graph(doc.graph, doc.labels, "edge-list"))
         assert sorted(again.labels) == sorted(doc.labels)
         assert labeled_edges(again) == labeled_edges(doc)
 
@@ -171,6 +174,12 @@ class TestRoundTrip:
     def test_label_count_must_match(self, pentagon):
         with pytest.raises(ValidationError):
             emit_graph(pentagon, ("a", "b"))
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "json"])
+    def test_unreadable_label_is_not_emitted(self, fmt):
+        # "{a c" would be read back as JSON.
+        with pytest.raises(ParseError, match=re.escape("'{a'")):
+            emit_graph(make_graph(2, [(0, 1)]), ("{a", "c"), fmt)
 
 
 class TestArrangementText:

@@ -34,7 +34,12 @@ from linarr import (
     solve_planar_minla,
 )
 from linarr.graph import _all_graph_reps
-from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_DP, MAX_ORDER_EXHAUSTIVE
+from linarr.solvers import (
+    MAX_ORDER_BNB,
+    MAX_ORDER_CLAIMS,
+    MAX_ORDER_DP,
+    MAX_ORDER_EXHAUSTIVE,
+)
 
 # sha256 over the graphs of _all_graph_reps(7) of repr([a.positions for a in
 # iter_crossing_free(g)]), taken before the search dropped dead prefixes.
@@ -175,8 +180,17 @@ class TestOrderLimits:
         with pytest.raises(ValidationError, match=f"order <= {limit}"):
             solve(UnreadableGraph(limit + 1))
 
+    def test_claims_rejected_before_checking(self):
+        with pytest.raises(ValidationError, match=f"order <= {MAX_ORDER_CLAIMS}"):
+            check_dominating_edge_claims(UnreadableGraph(MAX_ORDER_CLAIMS + 1),
+                                         [(0, 1), (1, 2), (2, 0)])
+
+    def test_claims_accepted_at_the_limit(self):
+        g = cycle_graph(MAX_ORDER_CLAIMS)
+        assert check_dominating_edge_claims(g, g.edges).arrangement_count > 0
+
     def test_documented_limits(self):
-        assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_BNB == 10
+        assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_BNB == MAX_ORDER_CLAIMS == 10
         assert MAX_ORDER_DP <= 20
 
 
