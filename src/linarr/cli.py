@@ -19,6 +19,7 @@ from .errors import ParseError, ValidationError
 from .gap_search import GapReport, compute_gap, search_gap_graphs
 from .graphio import (
     GraphDocument,
+    default_labels,
     emit_arrangement,
     parse_arrangement,
     parse_edge_subset,
@@ -178,7 +179,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.json:
         results = []
         for report in reports:
-            labels = tuple(str(v) for v in range(report.graph.order))
+            labels = default_labels(report.graph)
             results.append({
                 "order": report.graph.order,
                 "edges": [list(e) for e in report.graph.sorted_edges],

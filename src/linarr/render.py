@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, _check_arity
 from .errors import ValidationError
 from .graph import Graph
 from .graphio import default_labels
@@ -19,10 +19,7 @@ FORMATS = ("dot", "tikz", "svg")
 
 
 def _spine(g: Graph, arr: Arrangement, labels: Sequence[str] | None):
-    if g.order != len(arr):
-        raise ValidationError(
-            f"arrangement of length {len(arr)} does not fit a graph of order {g.order}"
-        )
+    _check_arity(g, arr)
     labels = tuple(labels) if labels is not None else default_labels(g)
     if len(labels) != g.order:
         raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")

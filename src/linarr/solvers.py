@@ -94,17 +94,10 @@ def _check_order(g: Graph, limit: int, solver_id: str) -> None:
         )
 
 
-def _trivial_result(n: int, solver_id: str, dedup_reversals: bool) -> SolveResult:
-    arr = Arrangement(tuple(range(1, n + 1)))
-    return SolveResult(0, (arr,), 1, solver_id, dedup_reversals)
-
-
 def solve_minla_exhaustive(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     """Minimize total edge length over all n! arrangements; collect every optimum."""
     _check_order(g, MAX_ORDER_EXHAUSTIVE, SOLVER_EXHAUSTIVE)
     n = g.order
-    if n <= 1:
-        return _trivial_result(n, SOLVER_EXHAUSTIVE, dedup_reversals)
     edges = g.sorted_edges
     best: int | None = None
     witnesses: list[tuple[int, ...]] = []
@@ -136,8 +129,6 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     """
     _check_order(g, MAX_ORDER_BNB, SOLVER_BNB)
     n = g.order
-    if n <= 1:
-        return _trivial_result(n, SOLVER_BNB, dedup_reversals)
     edges = g.sorted_edges
     nbrs = g.neighbors
     incumbent: int | None = None
@@ -221,13 +212,19 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     Three tables over subset masks: cut[S]; ahead[S] = F[S] + cut[S], F
     being the best prefix cost of reaching S; and the cost-to-go H[S],
     which by reversal symmetry is ahead[V - S]. The optimum is F[V], and a
-    move S -> S+v lies on some optimal arrangement iff
-    F[S] + cut[S] + H[S+v] == F[V].
+    move S -> S+v is tight, i.e. lies on some optimal arrangement, iff
+    F[S] + cut[S] + H[S+v] == F[V]. The optimal arrangements are exactly
+    the paths of tight moves from the empty set to V.
 
     `witnesses` holds a single arrangement: the lexicographically smallest
     optimum by position tuple, i.e. the exhaustive solver's `best` with or
-    without `dedup_reversals`. `explored` is the number of subset states,
-    2**n.
+    without `dedup_reversals`. Read a position tuple as the digits of a
+    number in base n + 1, vertex 0 most significant: every position is at
+    most n, so the digits never carry, and comparing the numbers compares
+    the tuples. The move S -> S+v puts v at position |S| + 1, so it adds
+    (|S| + 1) * (n + 1)**(n - 1 - v), and the smallest total over the
+    tight paths is the smallest position tuple. One backward pass takes
+    that minimum. `explored` is the number of subset states, 2**n.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_DP)
     n = g.order
@@ -236,53 +233,30 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     cut, ahead = _subset_tables(g)
     opt = ahead[full]
     togo = ahead[::-1]
-
-    def tight_moves(s: int, targets: set[int], first_only: bool = False) -> list[int]:
-        """Optimal moves from s that land in `targets`."""
+    weight = [(n + 1) ** (n - 1 - v) for v in range(n)]
+    # lex[S]: the least weighted sum over the tight moves that complete S,
+    # with lex[V] = 0. States on no optimal path are skipped: a tight move
+    # from a state on one lands on another, a superset that the descending
+    # sweep has already filled.
+    lex = [0] * size
+    for s in range(full - 1, -1, -1):
+        if ahead[s] - cut[s] + togo[s] != opt:
+            continue
         need = opt - ahead[s]
-        found = []
+        k = s.bit_count() + 1
+        best = math.inf
         m = full ^ s
         while m:
             low = m & -m
             m ^= low
             t = s | low
-            if togo[t] == need and t in targets:
-                found.append(t)
-                if first_only:
-                    break
-        return found
-
-    # levels[k]: the k-vertex prefixes of optimal arrangements that agree
-    # with every position fixed so far. Fix vertices 0, 1, ... in turn at
-    # their earliest feasible position and drop the prefixes that no longer
-    # lie on a full optimal path, until only one such path is left.
-    levels: list[set[int]] = [set() for _ in range(n + 1)]
-    for s in range(size):
-        if ahead[s] - cut[s] + togo[s] == opt:
-            levels[s.bit_count()].add(s)
-    for v in range(n):
-        if all(len(level) == 1 for level in levels):
-            break
-        bit = 1 << v
-        p = next(k + 1 for k in range(n) for s in levels[k]
-                 if not s & bit and s | bit in levels[k + 1] and ahead[s] + togo[s | bit] == opt)
-        for k in range(n + 1):
-            want = bit if k >= p else 0
-            levels[k] = {s for s in levels[k] if s & bit == want}
-        for k in range(n):
-            reached: set[int] = set()
-            for s in levels[k]:
-                reached.update(tight_moves(s, levels[k + 1]))
-            levels[k + 1] = reached
-        for k in range(n - 1, -1, -1):
-            levels[k] = {s for s in levels[k] if tight_moves(s, levels[k + 1], first_only=True)}
-    pos = [0] * n
-    prev = 0
-    for k in range(1, n + 1):
-        (s,) = levels[k]
-        pos[(s ^ prev).bit_length() - 1] = k
-        prev = s
-    return SolveResult(opt, (Arrangement(tuple(pos)),), size, SOLVER_DP, dedup_reversals)
+            if togo[t] == need:
+                c = lex[t] + k * weight[low.bit_length() - 1]
+                if c < best:
+                    best = c
+        lex[s] = best
+    pos = tuple(lex[0] // w % (n + 1) for w in weight)
+    return SolveResult(opt, (Arrangement(pos),), size, SOLVER_DP, dedup_reversals)
 
 
 def _crossing_free_search(g: Graph, bounded: bool = False
@@ -516,39 +490,32 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
             f"the claim checker accepts graphs of order <= {MAX_ORDER_CLAIMS}, got {g.order}"
         )
     cyc = _validate_cycle(g, cycle_edges)
-    all_edges = g.sorted_edges
+    # A cycle edge contains every other edge's interval iff its interval is
+    # the hull of the vertices that have edges. Distinct edges never share
+    # an interval, so at most one cycle edge does.
+    ends = {v for e in g.sorted_edges for v in e}
     count = 0
     c1 = ClaimVerdict(True)
     c2 = ClaimVerdict(True)
     for arr in iter_crossing_free(g):
         count += 1
         pos = arr.positions
-        spans = {}
-        for e in all_edges:
-            pu, pv = pos[e[0]], pos[e[1]]
-            spans[e] = (pu, pv) if pu < pv else (pv, pu)
-        dominators = []
+        hull = (min(pos[v] for v in ends), max(pos[v] for v in ends))
+        dominated = False
         failing_edge = None
         for e in cyc:
-            lo, hi = spans[e]
-            contains_all = all(
-                lo <= flo and fhi <= hi for f, (flo, fhi) in spans.items() if f != e
-            )
-            if contains_all:
-                dominators.append(e)
-            elif hi - lo != 1 and failing_edge is None:
+            pu, pv = pos[e[0]], pos[e[1]]
+            span = (pu, pv) if pu < pv else (pv, pu)
+            if span == hull:
+                dominated = True
+            elif span[1] - span[0] != 1 and failing_edge is None:
                 failing_edge = e
         if failing_edge is not None and c1.holds:
             c1 = ClaimVerdict(
                 False, arr, failing_edge,
                 "cycle edge neither contains all other edges nor has adjacent endpoints",
             )
-        if len(dominators) != 1 and c2.holds:
-            if dominators:
-                edge = dominators[1]
-                note = f"{len(dominators)} cycle edges contain all other edges"
-            else:
-                edge = failing_edge if failing_edge is not None else cyc[0]
-                note = "no cycle edge contains all other edges"
-            c2 = ClaimVerdict(False, arr, edge, note)
+        if not dominated and c2.holds:
+            edge = failing_edge if failing_edge is not None else cyc[0]
+            c2 = ClaimVerdict(False, arr, edge, "no cycle edge contains all other edges")
     return ClaimReport(count, c1, c2)

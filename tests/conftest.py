@@ -91,6 +91,54 @@ def oracle_crossing_free_set(g: Graph) -> set[tuple[int, ...]]:
     }
 
 
+def oracle_claims(g: Graph, cycle_edges):
+    """The dominating-edge claims by pairwise interval containment.
+
+    Walks the crossing-free arrangements in ascending `vertex_order()` and
+    returns (count, claim 1, claim 2), each claim being (holds, witness
+    positions, witness edge) taken at its first failure, with the cycle
+    edges tried in sorted order.
+    """
+    cyc = sorted(tuple(sorted(e)) for e in cycle_edges)
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    walk = sorted(oracle_crossing_free_set(g),
+                  key=lambda pos: sorted(range(g.order), key=pos.__getitem__))
+    claim1 = claim2 = (True, None, None)
+    for pos in walk:
+        span = {e: tuple(sorted((pos[e[0]], pos[e[1]]))) for e in edges}
+        dominators = [e for e in cyc if all(
+            span[e][0] <= span[f][0] and span[f][1] <= span[e][1] for f in edges if f != e)]
+        failing = [e for e in cyc if e not in dominators and span[e][1] - span[e][0] != 1]
+        if failing and claim1[0]:
+            claim1 = (False, pos, failing[0])
+        if len(dominators) != 1 and claim2[0]:
+            edge = dominators[1] if dominators else (failing or cyc)[0]
+            claim2 = (False, pos, edge)
+    return len(walk), claim1, claim2
+
+
+def simple_cycles(g: Graph) -> list[list[tuple[int, int]]]:
+    """Edge lists of the simple cycles of g, each found once."""
+    masks = g.neighbor_masks
+    found = []
+
+    def extend(path: list[int]) -> None:
+        start, last = path[0], path[-1]
+        for w in range(start + 1, g.order):
+            if not masks[last] >> w & 1 or w in path:
+                continue
+            path.append(w)
+            # Close through the start; path[1] < w lists each cycle in one direction.
+            if len(path) >= 3 and masks[w] >> start & 1 and path[1] < w:
+                found.append([tuple(sorted(p)) for p in zip(path, path[1:] + path[:1])])
+            extend(path)
+            path.pop()
+
+    for s in range(g.order):
+        extend([s])
+    return found
+
+
 def oracle_is_connected(n: int, edges) -> bool:
     if n <= 1:
         return True

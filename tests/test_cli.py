@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,11 @@ PENTAGON_PLANAR_JSON = """\
   ]
 }
 """
+
+# sha256 of `linarr search --max-order 7 --json` stdout, the whole gap
+# pipeline end to end, taken while the minLA witness was still found by
+# fixing one vertex at a time.
+SEARCH_ORDER7_SHA256 = "634fae84de553c025fd182bc175664f7a317ad7b664b72aa2b6ced9cbbc509fd"
 
 
 @pytest.fixture
@@ -197,6 +203,11 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--max-order", "3")
         assert code == 0
         assert "found 0 graph(s)" in out
+
+    def test_order_seven_json_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "search", "--max-order", "7", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_ORDER7_SHA256
 
     def test_order_limit_is_validation_error(self, capsys, monkeypatch):
         def no_enumeration(order):

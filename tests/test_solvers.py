@@ -11,10 +11,12 @@ from conftest import (
     cycle_graph,
     graphs,
     letters_of,
+    oracle_claims,
     oracle_crossing_free_set,
     oracle_minla,
     oracle_planar_minla,
     path_graph,
+    simple_cycles,
 )
 from linarr import (
     Arrangement,
@@ -24,6 +26,7 @@ from linarr import (
     cost,
     enumerate_connected_graphs,
     enumerate_planar_optima,
+    is_outerplanar,
     is_planar_arrangement,
     iter_crossing_free,
     make_graph,
@@ -44,6 +47,11 @@ from linarr.solvers import (
 # sha256 over the graphs of _all_graph_reps(7) of repr([a.positions for a in
 # iter_crossing_free(g)]), taken before the search dropped dead prefixes.
 ORDER7_STREAM_SHA256 = "a87b88d23fb3db32087b944382d12ebb04b4c368c1c3bc140b028bd2f9c6ab9b"
+
+# sha256 over the 1,253 graphs of _all_graph_reps(k), k = 0..7, of
+# repr([(r.optimal_cost, r.best.positions) for r in solve_minla_dp results]),
+# taken while the witness was still found by fixing one vertex at a time.
+DP_ORDER7_SHA256 = "d3e2b66f467cafb74a244c81bf182cd2e1eb7861f286cd73d6b3092c54448168"
 
 # Order-8 graphs whose searches reach prefixes that the stack-contiguity
 # and one-vertex-per-gap rules drop. The K2,3 subdivision keeps the 4-cycle
@@ -75,14 +83,6 @@ class TestExhaustive:
         result = solve_minla_exhaustive(path_graph(3))
         assert result.optimal_cost == 2
         assert all(a.position(1) == 2 for a in result.witnesses)
-
-    def test_order_zero_and_one(self):
-        r0 = solve_minla_exhaustive(make_graph(0))
-        assert r0.optimal_cost == 0
-        assert r0.witnesses == (Arrangement(()),)
-        r1 = solve_minla_exhaustive(make_graph(1))
-        assert r1.optimal_cost == 0
-        assert r1.witnesses == (Arrangement((1,)),)
 
     def test_reversal_dedup_halves_witnesses(self, pentagon):
         full = solve_minla_exhaustive(pentagon)
@@ -118,12 +118,6 @@ class TestSubsetDP:
         assert result.explored == 2 ** 5
         assert result.solver_id == "subset-dp"
 
-    def test_order_zero_and_one(self):
-        assert solve_minla_dp(make_graph(0)).witnesses == (Arrangement(()),)
-        r1 = solve_minla_dp(make_graph(1))
-        assert r1.optimal_cost == 0
-        assert r1.witnesses == (Arrangement((1,)),)
-
     @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_exhaustive_optimum_and_best(self, n, dedup):
@@ -155,6 +149,15 @@ class TestSubsetDP:
             assert result.optimal_cost == expected
             assert cost(g, result.best) == expected
             assert result.explored == 2 ** n
+
+    def test_witnesses_are_pinned_to_order_seven(self):
+        # Every graph of order <= 7, disconnected ones included; the
+        # exhaustive comparison above stops at connected order 6.
+        results = [solve_minla_dp(g) for k in range(8) for g in _all_graph_reps(k)]
+        assert len(results) == 1253
+        digest = hashlib.sha256(
+            repr([(r.optimal_cost, r.best.positions) for r in results]).encode())
+        assert digest.hexdigest() == DP_ORDER7_SHA256
 
 
 class UnreadableGraph(Graph):
@@ -293,6 +296,17 @@ class TestPlanarOptima:
 
 
 class TestSolverInvariants:
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_minla_bnb, solve_minla_dp],
+                             ids=["exhaustive", "bnb", "dp"])
+    def test_order_zero_and_one(self, solve, dedup):
+        for n in (0, 1):
+            result = solve(make_graph(n), dedup_reversals=dedup)
+            assert result.optimal_cost == 0
+            assert result.witnesses == (Arrangement(tuple(range(1, n + 1))),)
+            assert result.explored == (2 ** n if solve is solve_minla_dp else 1)
+            assert result.deduped_reversals == dedup
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sandwich_and_witness_validity(self, n):
         for g in enumerate_connected_graphs(n):
@@ -362,3 +376,23 @@ class TestClaims:
             and max(arr.position(f[0]), arr.position(f[1])) <= hi
             for f in others
         )
+
+    def test_matches_containment_oracle(self):
+        # Disconnected graphs catch a hull taken over isolated vertices.
+        pairs = 0
+        for n in range(3, 7):
+            for g in _all_graph_reps(n):
+                if not is_outerplanar(g):
+                    continue
+                for cycle in simple_cycles(g):
+                    pairs += 1
+                    report = check_dominating_edge_claims(g, cycle)
+                    count, claim1, claim2 = oracle_claims(g, cycle)
+                    assert report.arrangement_count == count
+                    for verdict, (holds, pos, edge) in [(report.claim1, claim1),
+                                                        (report.claim2, claim2)]:
+                        assert verdict.holds == holds
+                        got = verdict.witness_arrangement
+                        assert (None if got is None else got.positions) == pos
+                        assert verdict.witness_edge == edge
+        assert pairs == 205
