@@ -24,7 +24,7 @@ class Arrangement:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+        object.__setattr__(self, "positions", tuple(map(int, self.positions)))
         n = len(self.positions)
         if sorted(self.positions) != list(range(1, n + 1)):
             raise ValidationError(
@@ -49,7 +49,7 @@ class Arrangement:
 
     def vertex_order(self) -> tuple[int, ...]:
         """Vertices sorted by position, i.e. read left to right."""
-        return tuple(v for _, v in sorted(zip(self.positions, range(len(self.positions)))))
+        return tuple(sorted(range(len(self.positions)), key=self.positions.__getitem__))
 
     def reverse(self) -> Arrangement:
         n = len(self.positions)

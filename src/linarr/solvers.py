@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator
 
@@ -32,7 +33,7 @@ SOLVER_PLANAR = "planar-prefix"
 
 # Largest order each solver accepts. At order 10 the enumerating
 # solvers already take 15 s (exhaustive, P10) to 43 s (branch-and-bound,
-# K10); the subset DP takes about 1 s for K17, its worst case. Times are
+# K10); the subset DP takes 0.62-0.69 s for K17, its worst case. Times are
 # for one Xeon core under CPython 3.11. The crossing-free solver uses
 # MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
 # enumerates every connected class up to its order: 11,117 classes at
@@ -74,17 +75,20 @@ class SolveResult:
 
 def _finalize(optimal_cost: int, position_tuples: list[tuple[int, ...]], explored: int,
               solver_id: str, dedup_reversals: bool) -> SolveResult:
-    arrs = sorted(Arrangement(p) for p in position_tuples)
+    # Arrangements order by their one field, so sorting the raw tuples gives
+    # the same order; only the tuples kept become Arrangements.
+    kept = sorted(position_tuples)
     if dedup_reversals:
-        kept = []
+        mirror = (len(kept[0]) + 1).__sub__
         skip: set[tuple[int, ...]] = set()
-        for a in arrs:
-            if a.positions in skip:
-                continue
-            kept.append(a)
-            skip.add(a.reverse().positions)
-        arrs = kept
-    return SolveResult(optimal_cost, tuple(arrs), explored, solver_id, dedup_reversals)
+        unique = []
+        for p in kept:
+            if p not in skip:
+                unique.append(p)
+                skip.add(tuple(map(mirror, p)))
+        kept = unique
+    return SolveResult(optimal_cost, tuple(map(Arrangement, kept)), explored, solver_id,
+                       dedup_reversals)
 
 
 def _check_order(g: Graph, limit: int, solver_id: str) -> None:
@@ -175,12 +179,17 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     return _finalize(incumbent, witnesses, explored, SOLVER_BNB, dedup_reversals)
 
 
+@lru_cache(maxsize=1)
 def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
     """The subset DP's tables over vertex-set masks: cut[S] = |δ(S)|, and
     ahead[S], the least sum of prefix cuts over the orderings of S, cut[S]
     included. By reversal symmetry ahead[V - S] is the exact cost-to-go
     from a placed set S: the least sum of cut[T] over the prefixes T ⊇ S
     that a completion of S passes through.
+
+    The tables of the last graph are cached, so `compute_gap`'s minLA and
+    crossing-free solves build them once. Callers share the cached lists:
+    they may read them or copy them (`[::-1]`), never change them.
     """
     size = 1 << g.order
     cut = [0] * size
@@ -297,6 +306,18 @@ def _crossing_free_search(g: Graph, bounded: bool = False
     its cost plus togo exceeds the best cost yielded so far; ties survive,
     so every optimum is still yielded. Unbounded, the stream holds every
     crossing-free arrangement.
+
+    The search runs in one generator frame over an explicit stack of
+    levels, one per placed prefix. A level holds the candidates still to
+    try as a mask (tried lowest bit first), the placed set, the prefix's
+    cut and cost, its open-vertex stack, and two facts read off that
+    stack: segs[d], the top d entries as a mask, and run, how many
+    entries from the top down have a single unplaced neighbour. A
+    candidate that completes the arrangement is yielded at once, after
+    it updates the incumbent, and is never pushed; so each leaf leaves
+    the generator once, and the incumbent a candidate is checked against
+    is the one in force when it is tried. Order 0 yields one empty
+    arrangement: the empty prefix is already complete.
     """
     n = g.order
     if n >= 2 and g.size > 2 * n - 3:
@@ -305,33 +326,23 @@ def _crossing_free_search(g: Graph, bounded: bool = False
     nbrs = g.neighbor_masks
     adj = [[w for w in range(n) if mask >> w & 1] for mask in nbrs]
     full = (1 << n) - 1
-    # Never reset: the path to a leaf has overwritten every entry.
-    pos = [0] * n
-    incumbent = math.inf
 
-    def rec(placed: int, cut: int, spent: int, stack: tuple[int, ...]
-            ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        nonlocal incumbent
-        if placed == full:
-            incumbent = min(incumbent, spent)
-            yield spent, tuple(pos)
+    def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
+        if not full:
+            yield 0, ()
             return
-        free = full ^ placed
-        # segs[d]: the top d stack entries as a mask. run: how many entries,
-        # from the top down, have a single unplaced neighbour.
-        depth = len(stack)
-        segs = [0]
-        reach = 0
-        for u in reversed(stack):
-            segs.append(segs[-1] | 1 << u)
-            reach |= nbrs[u]
-        run = 0
-        while run < depth and (nbrs[stack[~run]] & free).bit_count() == 1:
-            run += 1
-        # A vertex with a placed neighbour has an open one, so it needs the
-        # top of the stack among its neighbours.
-        m = free & (~reach | nbrs[stack[-1]]) if stack else free
-        while m:
+        # Never reset: the path to a leaf has overwritten every entry.
+        pos = [0] * n
+        incumbent = math.inf
+        levels = []
+        # The current level, unpacked; `levels` holds its ancestors.
+        m, placed, free, cut, spent, stack, depth, segs, run = full, 0, full, 0, 0, (), 0, (0,), 0
+        while True:
+            if not m:
+                if not levels:
+                    return
+                m, placed, free, cut, spent, stack, depth, segs, run = levels.pop()
+                continue
             bit = m & -m
             m ^= bit
             v = bit.bit_length() - 1
@@ -361,9 +372,28 @@ def _crossing_free_search(g: Graph, bounded: bool = False
                 top += (v,)
             new_cut = cut + nbrs[v].bit_count() - 2 * k
             pos[v] = placed.bit_count() + 1
-            yield from rec(s, new_cut, spent + new_cut, top)
+            new_spent = spent + new_cut
+            if s == full:
+                if new_spent < incumbent:
+                    incumbent = new_spent
+                yield new_spent, tuple(pos)
+                continue
+            levels.append((m, placed, free, cut, spent, stack, depth, segs, run))
+            placed, free, cut, spent, stack = s, free ^ bit, new_cut, new_spent, top
+            depth = len(stack)
+            segs = [0]
+            reach = 0
+            for u in reversed(stack):
+                segs.append(segs[-1] | 1 << u)
+                reach |= nbrs[u]
+            run = 0
+            while run < depth and (nbrs[stack[~run]] & free).bit_count() == 1:
+                run += 1
+            # A vertex with a placed neighbour has an open one, so it needs
+            # the top of the stack among its neighbours.
+            m = free & (~reach | nbrs[stack[-1]]) if stack else free
 
-    return rec(0, 0, 0, ())
+    return walk()
 
 
 def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult | None:

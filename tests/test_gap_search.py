@@ -18,7 +18,7 @@ from linarr import (
 )
 import linarr.gap_search
 from linarr.gap_search import _thread_count
-from linarr.solvers import MAX_ORDER_SEARCH
+from linarr.solvers import MAX_ORDER_SEARCH, _subset_tables
 
 DIAMOND = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -35,6 +35,12 @@ class TestComputeGap:
         report = compute_gap(cycle_graph(3))
         assert report.gap == 0
         assert report.minla_opt == report.planar_opt == 4
+
+    def test_subset_tables_built_once(self):
+        # Both solvers run on an outerplanar graph and share one table build.
+        _subset_tables.cache_clear()
+        compute_gap(cycle_graph(14))
+        assert _subset_tables.cache_info().misses == 1
 
     def test_k4_has_no_planar_optimum(self):
         report = compute_gap(complete_graph(4))

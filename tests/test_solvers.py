@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,13 @@ ORDER7_STREAM_SHA256 = "a87b88d23fb3db32087b944382d12ebb04b4c368c1c3bc140b028bd2
 # repr([(r.optimal_cost, r.best.positions) for r in solve_minla_dp results]),
 # taken while the witness was still found by fixing one vertex at a time.
 DP_ORDER7_SHA256 = "d3e2b66f467cafb74a244c81bf182cd2e1eb7861f286cd73d6b3092c54448168"
+
+# sha256 over the graphs of _all_graph_reps(k), k = 0..7, each solved with
+# dedup_reversals False then True, of repr(None) or
+# repr((optimal_cost, explored, [w.positions for w in witnesses])) per
+# solve_planar_minla result, taken while the engine was a recursive
+# generator and witnesses were sorted as Arrangements.
+PLANAR_ORDER7_SHA256 = "6d8cdedc3cf7e793782de609933b0b8d693c8983e3820323ef29e366a9723c91"
 
 # Order-8 graphs whose searches reach prefixes that the stack-contiguity
 # and one-vertex-per-gap rules drop. The K2,3 subdivision keeps the 4-cycle
@@ -261,6 +270,44 @@ class TestPlanarSolver:
 
         monkeypatch.setattr("linarr.solvers._subset_tables", no_tables)
         assert solve_planar_minla(wheel) is None
+
+    def test_optima_are_pinned_to_order_seven(self):
+        digest = hashlib.sha256()
+        for k in range(8):
+            for g in _all_graph_reps(k):
+                for dedup in (False, True):
+                    r = solve_planar_minla(g, dedup_reversals=dedup)
+                    digest.update(repr(None if r is None else (
+                        r.optimal_cost, r.explored, [w.positions for w in r.witnesses])).encode())
+        assert digest.hexdigest() == PLANAR_ORDER7_SHA256
+
+    def test_nine_star_ties(self):
+        # Every arrangement of a star is crossing-free; 8! = 40,320 optima
+        # put the centre in the middle, 20,160 up to reversal.
+        star = make_graph(9, [(0, i) for i in range(1, 9)])
+        result = solve_planar_minla(star, dedup_reversals=True)
+        assert result.optimal_cost == 20
+        assert result.explored == 86520
+        assert len(result.witnesses) == 20160
+        positions = [w.positions for w in result.witnesses]
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+        assert all(w.positions[0] == 5 for w in result.witnesses)
+
+    def test_stream_is_lazy(self):
+        # The 12-star has 12! crossing-free arrangements; an eager search
+        # would not return.
+        star = make_graph(12, [(0, i) for i in range(1, 12)])
+        start = time.perf_counter()
+        first = [a.vertex_order() for a in islice(iter_crossing_free(star), 3)]
+        assert time.perf_counter() - start < 2.0
+        assert first == [
+            tuple(range(12)),
+            tuple(range(10)) + (11, 10),
+            tuple(range(9)) + (10, 9, 11),
+        ]
+
+    def test_order_zero_yields_one_empty_arrangement(self):
+        assert list(iter_crossing_free(Graph(0))) == [Arrangement(())]
 
     def test_stream_ascends_by_vertex_order(self):
         # Claim witnesses are the first failures in stream order, so the
