@@ -3,19 +3,12 @@
 The gap of a graph is its crossing-free optimum minus its unconstrained
 optimum; graphs with no crossing-free arrangement carry no gap. The search
 walks the connected-graph enumeration order by order and reports every
-graph whose gap reaches a threshold.
-
-Set LINARR_THREADS to an integer > 1 to fan the per-graph solves out over a
-process pool of at most os.cpu_count() workers; results are re-collected in
-enumeration order either way. Any value other than an integer >= 1 is a
-ValidationError.
+graph whose gap reaches a threshold. It runs in one process and solves
+each class only when the consumer asks for its report.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -72,26 +65,16 @@ def compute_gap(g: Graph) -> GapReport:
     )
 
 
-def _thread_count() -> int:
-    """Worker count from LINARR_THREADS (default 1), capped at the CPU count."""
-    raw = os.environ.get("LINARR_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValidationError(f"LINARR_THREADS must be an integer >= 1, got {raw!r}")
-    return min(count, os.cpu_count() or 1)
-
-
 def iter_gap_reports(max_order: int,
                      start: tuple[int, int] = (1, 0)) -> Iterator[tuple[int, int, GapReport]]:
     """Yield (order, class_index, report) for every connected class up to max_order.
 
-    Emission is incremental and deterministic, so a long run interrupted at
+    Emission is incremental per class and deterministic: each class is
+    solved only when its report is asked for, so a long run interrupted at
     (order, index) can be resumed by passing that pair as `start`. Orders
-    above MAX_ORDER_SEARCH raise ValidationError before any enumeration.
-    With more than one worker, one process pool serves every order.
+    above MAX_ORDER_SEARCH, and a start order below 1 or a negative start
+    index, raise ValidationError before any enumeration. A start past
+    max_order or past the last class of its order yields nothing for it.
     """
     if max_order < 1:
         raise ValidationError(f"max_order must be >= 1, got {max_order}")
@@ -100,17 +83,13 @@ def iter_gap_reports(max_order: int,
             f"the gap search accepts max_order <= {MAX_ORDER_SEARCH}, got {max_order}"
         )
     start_order, start_index = start
-    workers = _thread_count()
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for order in range(max(1, start_order), max_order + 1):
-            first = start_index if order == start_order else 0
-            graphs = [g for i, g in enumerate(enumerate_connected_graphs(order)) if i >= first]
-            if pool is not None and len(graphs) > 1:
-                reports = list(pool.map(compute_gap, graphs, chunksize=8))
-            else:
-                reports = [compute_gap(g) for g in graphs]
-            for offset, report in enumerate(reports):
-                yield order, first + offset, report
+    if start_order < 1 or start_index < 0:
+        raise ValidationError(f"start must be (order >= 1, index >= 0), got {start}")
+    for order in range(start_order, max_order + 1):
+        first = start_index if order == start_order else 0
+        for index, g in enumerate(enumerate_connected_graphs(order)):
+            if index >= first:
+                yield order, index, compute_gap(g)
 
 
 def search_gap_graphs(max_order: int, min_gap: int) -> list[GapReport]:

@@ -49,6 +49,9 @@ PENTAGON_PLANAR_JSON = """\
 # pipeline end to end, taken while the minLA witness was still found by
 # fixing one vertex at a time.
 SEARCH_ORDER7_SHA256 = "634fae84de553c025fd182bc175664f7a317ad7b664b72aa2b6ced9cbbc509fd"
+# The same for `--max-order 8` (579 gap graphs), taken while the gap search
+# still collected each order's classes before solving them.
+SEARCH_ORDER8_SHA256 = "49f3f8f498973ee6a0702fabff9a39bf802dfe9a74689e748bb79a4f43515c15"
 
 
 @pytest.fixture
@@ -208,6 +211,12 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--max-order", "7", "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_ORDER7_SHA256
+
+    def test_order_eight_json_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "search", "--max-order", "8", "--json")
+        assert code == 0
+        assert json.loads(out)["count"] == 579
+        assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_ORDER8_SHA256
 
     def test_order_limit_is_validation_error(self, capsys, monkeypatch):
         def no_enumeration(order):

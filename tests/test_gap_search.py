@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,6 @@ from linarr import (
     search_gap_graphs,
 )
 import linarr.gap_search
-from linarr.gap_search import _thread_count
 from linarr.solvers import MAX_ORDER_SEARCH, _subset_tables
 
 DIAMOND = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -131,60 +133,55 @@ class TestIterReports:
         resumed = [(o, i, r.graph) for o, i, r in iter_gap_reports(4, start=(4, 2))]
         assert resumed == [e for e in full if (e[0], e[1]) >= (4, 2)]
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        serial = [r.graph for _, _, r in iter_gap_reports(4)]
-        monkeypatch.setenv("LINARR_THREADS", "2")
-        parallel = [r.graph for _, _, r in iter_gap_reports(4)]
-        assert parallel == serial
+    @pytest.mark.parametrize("start", [(3, -1), (0, 3), (-2, 0)],
+                             ids=["negative-index", "order-zero", "negative-order"])
+    def test_bad_start_rejected_before_enumeration(self, monkeypatch, start):
+        def no_enumeration(order):
+            raise AssertionError("enumeration before start check")
 
-    def test_one_pool_serves_every_order(self, monkeypatch):
-        # A stand-in executor that runs in-process, so no pool is started.
-        built = []
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_graphs", no_enumeration)
+        with pytest.raises(ValidationError, match="start"):
+            next(iter_gap_reports(4, start=start))
 
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                built.append(max_workers)
+    def test_start_past_the_end_yields_nothing(self):
+        assert list(iter_gap_reports(3, start=(4, 0))) == []
+        order_four = list(iter_gap_reports(4, start=(4, 0)))
+        for index in (2, 99):  # order 3 has two classes
+            assert list(iter_gap_reports(3, start=(3, index))) == []
+            assert list(iter_gap_reports(4, start=(3, index))) == order_four
 
-            def __enter__(self):
-                return self
+    def test_each_class_is_solved_when_asked_for(self, monkeypatch):
+        calls = []
+        solve = linarr.gap_search.compute_gap
 
-            def __exit__(self, *exc):
-                return False
+        def counted(g):
+            calls.append(g)
+            return solve(g)
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+        monkeypatch.setattr(linarr.gap_search, "compute_gap", counted)
+        reports = iter_gap_reports(4, start=(4, 0))
+        order, index, report = next(reports)
+        assert (order, index) == (4, 0)
+        assert calls == [report.graph]
 
-        serial = list(iter_gap_reports(4))
-        monkeypatch.setattr("linarr.gap_search.ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("LINARR_THREADS", "2")
-        assert list(iter_gap_reports(4)) == serial
-        assert built == [2]
-
-
-class TestThreadCount:
-    # Only the parsing is exercised; no pool is started.
-    def test_default_is_one(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["2", "two", "1.5", "", "0", "-3"])
+    def test_threads_variable_is_ignored(self, monkeypatch, raw):
         monkeypatch.delenv("LINARR_THREADS", raising=False)
-        assert _thread_count() == 1
-
-    @pytest.mark.parametrize("raw", ["two", "1.5", "", "0", "-3"])
-    def test_invalid_values_are_rejected(self, monkeypatch, raw):
+        unset = list(iter_gap_reports(4))
         monkeypatch.setenv("LINARR_THREADS", raw)
-        with pytest.raises(ValidationError, match="LINARR_THREADS"):
-            _thread_count()
+        assert list(iter_gap_reports(4)) == unset
 
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setenv("LINARR_THREADS", "64")
-        assert _thread_count() == 3
-        monkeypatch.setenv("LINARR_THREADS", "2")
-        assert _thread_count() == 2
 
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        monkeypatch.setenv("LINARR_THREADS", "4")
-        assert _thread_count() == 1
+def test_import_loads_no_process_machinery():
+    src = str(Path(linarr.__file__).resolve().parent.parent)
+    code = ("import sys, linarr; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBookEmbeddingEquivalence:
