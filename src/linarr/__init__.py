@@ -9,6 +9,7 @@ from .graph import (
     are_isomorphic,
     canonical_form,
     enumerate_connected_graphs,
+    enumerate_connected_outerplanar_graphs,
     is_connected,
     is_outerplanar,
     make_graph,
@@ -58,6 +59,7 @@ __all__ = [
     "emit_arrangement",
     "emit_graph",
     "enumerate_connected_graphs",
+    "enumerate_connected_outerplanar_graphs",
     "enumerate_planar_optima",
     "is_connected",
     "is_outerplanar",

@@ -1,10 +1,11 @@
 """Per-graph gap computation and the search for gap graphs.
 
 The gap of a graph is its crossing-free optimum minus its unconstrained
-optimum; graphs with no crossing-free arrangement carry no gap. The search
-walks the connected-graph enumeration order by order and reports every
-graph whose gap reaches a threshold. It runs in one process and solves
-each class only when the consumer asks for its report.
+optimum; graphs with no crossing-free arrangement carry no gap. A graph
+has one iff it is outerplanar, so the search walks only the connected
+outerplanar classes, order by order, and reports every graph whose gap
+reaches a threshold. It runs in one process and solves each class only
+when the consumer asks for its report.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 
 from .arrangement import Arrangement
 from .errors import ValidationError
-from .graph import Graph, enumerate_connected_graphs, is_outerplanar
+from .graph import Graph, enumerate_connected_outerplanar_graphs, is_outerplanar
 from .solvers import MAX_ORDER_SEARCH, solve_minla_dp, solve_planar_minla
 
 
@@ -67,14 +68,19 @@ def compute_gap(g: Graph) -> GapReport:
 
 def iter_gap_reports(max_order: int,
                      start: tuple[int, int] = (1, 0)) -> Iterator[tuple[int, int, GapReport]]:
-    """Yield (order, class_index, report) for every connected class up to max_order.
+    """Yield (order, class_index, report) for every connected outerplanar
+    class up to max_order.
 
-    Emission is incremental per class and deterministic: each class is
-    solved only when its report is asked for, so a long run interrupted at
-    (order, index) can be resumed by passing that pair as `start`. Orders
-    above MAX_ORDER_SEARCH, and a start order below 1 or a negative start
-    index, raise ValidationError before any enumeration. A start past
-    max_order or past the last class of its order yields nothing for it.
+    Classes come from `enumerate_connected_outerplanar_graphs` and
+    class_index counts within that stream, so every report has a
+    crossing-free optimum; the other connected classes have no gap and are
+    never built. Emission is incremental per class and deterministic: each
+    class is solved only when its report is asked for, so a long run
+    interrupted at (order, index) can be resumed by passing that pair as
+    `start`. Orders above MAX_ORDER_SEARCH, and a start order below 1 or a
+    negative start index, raise ValidationError before any enumeration. A
+    start past max_order or past the last class of its order yields
+    nothing for it.
     """
     if max_order < 1:
         raise ValidationError(f"max_order must be >= 1, got {max_order}")
@@ -87,7 +93,7 @@ def iter_gap_reports(max_order: int,
         raise ValidationError(f"start must be (order >= 1, index >= 0), got {start}")
     for order in range(start_order, max_order + 1):
         first = start_index if order == start_order else 0
-        for index, g in enumerate(enumerate_connected_graphs(order)):
+        for index, g in enumerate(enumerate_connected_outerplanar_graphs(order)):
             if index >= first:
                 yield order, index, compute_gap(g)
 

@@ -13,12 +13,16 @@ compares these invariants, and enumeration uses them to recognise repeated
 classes, so the unrestricted search runs once per class. Enumeration adds
 one vertex to each smaller representative and, before keying, skips the
 extensions that twin cells or a minimum-degree argument show to be covered
-by another extension. Everything here is exact; enumeration is intended
-for orders up to 8 (12,346 classes).
+by another extension. The same engine can keep only outerplanar graphs,
+extending outerplanar representatives alone; that stream feeds the gap
+search. Everything here is exact; enumeration of all graphs is intended
+for orders up to 8 (12,346 classes), of outerplanar ones up to 9 (5,291
+classes).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -149,27 +153,22 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # search prune an ordering as soon as its prefix exceeds the best known.
 
 
-def _are_twins(adj: Sequence[int], v: int, w: int) -> bool:
-    """True when v and w have the same neighbours apart from each other.
-
-    Swapping two such twins is then an automorphism of the graph.
-    """
-    return adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
-
-
 def _twin_cells(adj: Sequence[int]) -> list[list[int]]:
     """Split the vertices into twin cells, each ascending, by first vertex.
 
-    Twinship is an equivalence: a twin pair is either adjacent (equal
-    closed neighbourhoods) or not (equal open ones), and an adjacent pair
-    u, v with a non-adjacent pair v, w is impossible, since u in N(v) =
-    N(w) puts w in N(u) - {v} = N(v) - {u}. So any permutation inside a
-    cell is an automorphism.
+    Two vertices are twins when they have the same neighbours apart from
+    each other, so swapping them is an automorphism. Twinship is an
+    equivalence: a twin pair is either adjacent (equal closed
+    neighbourhoods) or not (equal open ones), and an adjacent pair u, v
+    with a non-adjacent pair v, w is impossible, since u in N(v) = N(w)
+    puts w in N(u) - {v} = N(v) - {u}. So any permutation inside a cell is
+    an automorphism.
     """
     cells: list[list[int]] = []
     for v in range(len(adj)):
         for cell in cells:
-            if _are_twins(adj, cell[0], v):
+            w = cell[0]
+            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
                 cell.append(v)
                 break
         else:
@@ -184,47 +183,58 @@ def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     Two exact prunings apply at each level. Every key has the same length,
     so a candidate whose bits against the placed prefix exceed another
     candidate's loses whatever follows: only the minimal ones are tried.
-    And a candidate whose neighbourhood equals a tried one's, ignoring the
-    edge between them, is skipped: swapping two such twins is an
-    automorphism that fixes the prefix, so their subtrees hold equal keys.
+    And a candidate in the twin cell of a tried one (`_twin_cells`) is
+    skipped: swapping two twins is an automorphism that fixes the prefix,
+    so their subtrees hold equal keys.
     """
     n = g.order
     adj = g.neighbor_masks
-    level_colour = sorted(colour)
+    twins = [0] * n
+    for cell in _twin_cells(adj):
+        mask = sum(1 << v for v in cell)
+        for v in cell:
+            twins[v] = mask
+    # Unplaced vertices stay sorted by (colour, vertex), so the candidates
+    # at a level, the unplaced vertices of its colour, are a prefix of them:
+    # ends[level] counts the vertices whose colour is at most the level's.
+    start = sorted(range(n), key=lambda v: (colour[v], v))
+    level_colour = [colour[v] for v in start]
+    ends = [bisect_right(level_colour, c) for c in level_colour]
     total_bits = n * (n - 1) // 2
     best_bits: int | None = None
     best_order: tuple[int, ...] = ()
     order: list[int] = []
 
-    def rec(unplaced: list[int], prefix: int, bits: list[int]) -> None:
-        # bits[v]: v's adjacency to the placed prefix, first-placed vertex
-        # as the most significant bit.
+    def rec(unplaced: list[int], bits: list[int], prefix: int) -> None:
+        # bits[i]: unplaced[i]'s adjacency to the placed prefix, first-placed
+        # vertex as the most significant bit.
         nonlocal best_bits, best_order
         level = len(order)
         if level == n:
             if best_bits is None or prefix < best_bits:
                 best_bits, best_order = prefix, tuple(order)
             return
-        c = level_colour[level]
-        low = min(bits[v] for v in unplaced if colour[v] == c)
+        k = ends[level] - level
+        low = min(bits[:k])
         prefix = (prefix << level) | low
         if best_bits is not None:
             placed_bits = (level + 1) * level // 2
             if prefix > best_bits >> (total_bits - placed_bits):
                 return
-        tried: list[int] = []
-        for v in unplaced:
-            if colour[v] != c or bits[v] != low:
+        tried = 0
+        for i in range(k):
+            v = unplaced[i]
+            if bits[i] != low or twins[v] & tried:
                 continue
-            if any(_are_twins(adj, v, w) for w in tried):
-                continue
-            tried.append(v)
+            tried |= 1 << v
+            av = adj[v]
+            rest_bits = [(b << 1) | (av >> u & 1) for u, b in zip(unplaced, bits)]
+            del rest_bits[i]
             order.append(v)
-            rec([u for u in unplaced if u != v], prefix,
-                [(b << 1) | (m >> v & 1) for b, m in zip(bits, adj)])
+            rec(unplaced[:i] + unplaced[i + 1:], rest_bits, prefix)
             order.pop()
 
-    rec(list(range(n)), 0, [0] * n)
+    rec(start, [0] * n, 0)
     assert best_bits is not None
     return best_bits, best_order
 
@@ -277,8 +287,9 @@ def canonical_form(g: Graph) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _all_graph_reps(order: int) -> tuple[Graph, ...]:
-    """One canonical representative per isomorphism class of all simple graphs.
+def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
+    """One canonical representative per isomorphism class of all simple
+    graphs, or, with `outerplanar`, of the outerplanar ones only.
 
     Every graph G of this order is P+S for a smaller representative P: P
     plus a new vertex joined to the set S of P's vertices. Two exact rules
@@ -294,16 +305,27 @@ def _all_graph_reps(order: int) -> tuple[Graph, ...]:
         kept. The σ of rule (i) only permutes these degrees, so the two
         rules compose.
 
+    With `outerplanar`, only outerplanar representatives are extended, and
+    an extension is dropped before keying unless it is outerplanar. This
+    reaches every outerplanar G: deleting a vertex keeps a graph
+    outerplanar, so the P ≅ G - u of rule (ii) is itself an outerplanar
+    representative, and rule (i)'s P+σ(S) ≅ P+S is outerplanar iff P+S is.
+
     Every surviving extension is keyed by `_iso_key`; the canonical search
     runs once per new class. A representative depends only on its
-    canonical bits, so the rules change the work, not the output.
+    canonical bits, so the rules change the work, not the output: the
+    outerplanar representatives are exactly the outerplanar members of the
+    full list, in the same order.
     """
     if order == 0:
         return (Graph(0),)
+    # lru_cache keys (n,) and (n, False) apart: call as the callers do, so
+    # the levels they cache are reused.
+    parents = _all_graph_reps(order - 1, True) if outerplanar else _all_graph_reps(order - 1)
     reps: dict[int, Graph] = {}
     seen: set[tuple[tuple[int, ...], int]] = set()
     new = order - 1
-    for parent in _all_graph_reps(new):
+    for parent in parents:
         adj = parent.neighbor_masks
         degree = [m.bit_count() for m in adj]
         lowest = [[sum(1 << v for v in cell[:k]) for k in range(len(cell) + 1)]
@@ -315,6 +337,8 @@ def _all_graph_reps(order: int) -> tuple[Graph, ...]:
                 continue
             extra = frozenset((i, new) for i in range(new) if nbrs >> i & 1)
             g = Graph(order, parent.edges | extra)
+            if outerplanar and not is_outerplanar(g):
+                continue
             key = _iso_key(g)
             if key in seen:
                 continue
@@ -332,9 +356,27 @@ def enumerate_connected_graphs(order: int) -> Iterator[Graph]:
     ordered by (edge count, canonical key). Intended scale is order <= 8
     (11,117 classes); order 9 has 261,080 connected classes.
     """
+    return _connected_reps(order, False)
+
+
+def enumerate_connected_outerplanar_graphs(order: int) -> Iterator[Graph]:
+    """Yield one representative per isomorphism class of connected
+    outerplanar graphs.
+
+    The same representatives, in the same (edge count, canonical key)
+    order, as filtering `enumerate_connected_graphs` with `is_outerplanar`,
+    but only outerplanar graphs are built and keyed: 777 classes at order
+    8 and 3,783 at order 9 (OEIS A111563), of 11,117 and 261,080 connected
+    classes.
+    """
+    return _connected_reps(order, True)
+
+
+def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
     if order < 1:
         raise ValidationError(f"enumeration needs order >= 1, got {order}")
-    for g in _all_graph_reps(order):
+    reps = _all_graph_reps(order, True) if outerplanar else _all_graph_reps(order)
+    for g in reps:
         if is_connected(g):
             yield g
 

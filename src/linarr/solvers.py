@@ -36,15 +36,16 @@ SOLVER_PLANAR = "planar-prefix"
 # K10); the subset DP takes 0.62-0.69 s for K17, its worst case. Times are
 # for one Xeon core under CPython 3.11. The crossing-free solver uses
 # MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
-# enumerates every connected class up to its order: 11,117 classes at
-# order 8, 261,080 at order 9 (OEIS A001349). The claim checker walks
-# every crossing-free arrangement with no bound to prune them; for a
+# builds and solves only the connected outerplanar classes (OEIS
+# A111563): 3,783 at order 9, built in about 13 s, with the whole search
+# taking about 20 s; order 10 has 20,074. The claim checker walks every
+# crossing-free arrangement with no bound to prune them; for a
 # triangle with pendants on one vertex that takes 1.5 s at order 9, 17 s
 # at order 10 and 182 s at order 11.
 MAX_ORDER_EXHAUSTIVE = 10
 MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
-MAX_ORDER_SEARCH = 8
+MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
 
 
@@ -522,15 +523,20 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     cyc = _validate_cycle(g, cycle_edges)
     # A cycle edge contains every other edge's interval iff its interval is
     # the hull of the vertices that have edges. Distinct edges never share
-    # an interval, so at most one cycle edge does.
+    # an interval, so at most one cycle edge does. With no isolated vertex
+    # that hull is (1, n) in every arrangement.
     ends = {v for e in g.sorted_edges for v in e}
+    full = (1, g.order) if len(ends) == g.order else None
     count = 0
     c1 = ClaimVerdict(True)
     c2 = ClaimVerdict(True)
     for arr in iter_crossing_free(g):
         count += 1
         pos = arr.positions
-        hull = (min(pos[v] for v in ends), max(pos[v] for v in ends))
+        hull = full
+        if hull is None:
+            at = list(map(pos.__getitem__, ends))
+            hull = (min(at), max(at))
         dominated = False
         failing_edge = None
         for e in cyc:

@@ -222,7 +222,7 @@ class TestSearch:
         def no_enumeration(order):
             raise AssertionError("enumeration before order check")
 
-        monkeypatch.setattr("linarr.gap_search.enumerate_connected_graphs", no_enumeration)
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_outerplanar_graphs", no_enumeration)
         code, _, err = run(capsys, "search", "--max-order", str(MAX_ORDER_SEARCH + 1))
         assert code == 1
         assert "validation error" in err

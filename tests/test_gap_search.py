@@ -13,6 +13,8 @@ from linarr import (
     are_isomorphic,
     compute_gap,
     cost,
+    enumerate_connected_graphs,
+    enumerate_connected_outerplanar_graphs,
     is_planar_arrangement,
     iter_gap_reports,
     make_graph,
@@ -113,25 +115,33 @@ class TestSearch:
         def no_enumeration(order):
             raise AssertionError("enumeration before order check")
 
-        monkeypatch.setattr("linarr.gap_search.enumerate_connected_graphs", no_enumeration)
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_outerplanar_graphs",
+                            no_enumeration)
         with pytest.raises(ValidationError, match=f"max_order <= {MAX_ORDER_SEARCH}"):
             search_gap_graphs(MAX_ORDER_SEARCH + 1, 1)
         with pytest.raises(ValidationError, match=f"max_order <= {MAX_ORDER_SEARCH}"):
             next(iter_gap_reports(MAX_ORDER_SEARCH + 1))
 
     def test_documented_limit(self):
-        assert MAX_ORDER_SEARCH == 8
+        assert MAX_ORDER_SEARCH == 9
 
 
 class TestIterReports:
     def test_indices_follow_enumeration(self):
-        entries = list(iter_gap_reports(3))
-        assert [(o, i) for o, i, _ in entries] == [(1, 0), (2, 0), (3, 0), (3, 1)]
+        # Order 4 has six connected classes; K4 is not outerplanar, so the
+        # stream and the indices hold five.
+        entries = list(iter_gap_reports(4))
+        assert [(o, i) for o, i, _ in entries] == [
+            (1, 0), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2), (4, 3), (4, 4)]
+        for order, index, report in entries:
+            assert report.graph == list(enumerate_connected_outerplanar_graphs(order))[index]
+            assert report.outerplanar and report.planar_opt is not None
 
     def test_resume_matches_full_run(self):
-        full = [(o, i, r.graph) for o, i, r in iter_gap_reports(4)]
-        resumed = [(o, i, r.graph) for o, i, r in iter_gap_reports(4, start=(4, 2))]
-        assert resumed == [e for e in full if (e[0], e[1]) >= (4, 2)]
+        full = [(o, i, r.graph) for o, i, r in iter_gap_reports(5)]
+        for start in [(4, 2), (5, 7)]:
+            resumed = [(o, i, r.graph) for o, i, r in iter_gap_reports(5, start=start)]
+            assert resumed == [e for e in full if (e[0], e[1]) >= start]
 
     @pytest.mark.parametrize("start", [(3, -1), (0, 3), (-2, 0)],
                              ids=["negative-index", "order-zero", "negative-order"])
@@ -139,7 +149,8 @@ class TestIterReports:
         def no_enumeration(order):
             raise AssertionError("enumeration before start check")
 
-        monkeypatch.setattr("linarr.gap_search.enumerate_connected_graphs", no_enumeration)
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_outerplanar_graphs",
+                            no_enumeration)
         with pytest.raises(ValidationError, match="start"):
             next(iter_gap_reports(4, start=start))
 
@@ -187,5 +198,8 @@ def test_import_loads_no_process_machinery():
 class TestBookEmbeddingEquivalence:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_planar_opt_exists_iff_outerplanar(self, n):
-        for _, _, report in iter_gap_reports(n):
+        # Over every connected class, not only the search's outerplanar
+        # stream, so classes without a crossing-free arrangement are seen.
+        for g in enumerate_connected_graphs(n):
+            report = compute_gap(g)
             assert (report.planar_opt is not None) == report.outerplanar

@@ -19,6 +19,7 @@ from linarr import (
     are_isomorphic,
     canonical_form,
     enumerate_connected_graphs,
+    enumerate_connected_outerplanar_graphs,
     is_connected,
     is_outerplanar,
     iter_crossing_free,
@@ -241,6 +242,36 @@ class TestEnumeration:
         for n in range(1, 8):
             _all_graph_reps.__wrapped__(n)
         assert keyed[1:] == [1, 2, 4, 11, 42, 221, 1808]
+
+    def test_outerplanar_stream_filters_the_full_enumeration(self):
+        # Same representatives in the same order, element for element. The
+        # order-8 enumeration is cached by other tests in this module.
+        for n in range(1, 9):
+            expected = [g for g in enumerate_connected_graphs(n) if is_outerplanar(g)]
+            assert list(enumerate_connected_outerplanar_graphs(n)) == expected, n
+
+    def test_outerplanar_class_counts(self):
+        # Connected: OEIS A111563.
+        connected = [len(list(enumerate_connected_outerplanar_graphs(n))) for n in range(1, 9)]
+        assert connected == [1, 1, 2, 5, 13, 46, 172, 777]
+        assert [len(_all_graph_reps(n, True)) for n in range(1, 9)] == [
+            1, 2, 4, 10, 25, 80, 277, 1150]
+
+    def test_outerplanar_extensions_keyed_per_order(self, monkeypatch):
+        # Only outerplanar extensions of outerplanar representatives are
+        # keyed: 665 up to order 7, against 2,089 for the full enumeration.
+        keyed = [0] * 9
+        iso_key = linarr.graph._iso_key
+
+        def counting(g):
+            keyed[g.order] += 1
+            return iso_key(g)
+
+        _all_graph_reps(7, True)
+        monkeypatch.setattr(linarr.graph, "_iso_key", counting)
+        for n in range(1, 9):
+            _all_graph_reps.__wrapped__(n, True)
+        assert keyed[1:] == [1, 2, 4, 10, 32, 122, 494, 2034]
 
     def test_representatives_are_pinned(self):
         # bench/data/search.json relies on these exact representatives and
