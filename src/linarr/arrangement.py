@@ -49,7 +49,10 @@ class Arrangement:
 
     def vertex_order(self) -> tuple[int, ...]:
         """Vertices sorted by position, i.e. read left to right."""
-        return tuple(sorted(range(len(self.positions)), key=self.positions.__getitem__))
+        order = [0] * len(self.positions)
+        for v, p in enumerate(self.positions):
+            order[p - 1] = v
+        return tuple(order)
 
     def reverse(self) -> Arrangement:
         n = len(self.positions)

@@ -8,10 +8,12 @@ onto positions 1..n, the latter pruning prefixes, and are kept as
 references. The crossing-free solver and `iter_crossing_free` share one
 prefix search, which drops a prefix as soon as some edge, placed or still
 to come, must cross, or no crossing-free arrangement can extend it; the
-solver also drops prefixes by the subset DP's exact cost-to-go. Each
-solver has a maximum order (`MAX_ORDER_*`) above which it raises
-ValidationError instead of running for hours; the crossing-free solver
-builds the subset DP's tables and shares its limit.
+solver also drops prefixes by the subset DP's exact cost-to-go, and it
+answers a graph that is not outerplanar, which has no crossing-free
+arrangement, with None from the linear-time outerplanarity test before it
+builds any table. Each solver has a maximum order (`MAX_ORDER_*`) above
+which it raises ValidationError instead of running for hours; the
+crossing-free solver builds the subset DP's tables and shares its limit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterator
 
 from .arrangement import Arrangement
 from .errors import ValidationError
-from .graph import Edge, Graph, normalize_edge
+from .graph import Edge, Graph, is_outerplanar, normalize_edge
 
 SOLVER_EXHAUSTIVE = "exhaustive"
 SOLVER_BNB = "branch-and-bound"
@@ -405,10 +407,13 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
     dedup), so it doubles as the planar-optima enumerator. `explored`
     counts the complete arrangements the pruned search reaches. The
     search is pruned by the subset DP's tables, so it shares that solver's
-    order limit; a graph with more than 2n - 3 edges has no crossing-free
-    arrangement and gets None before any table is built.
+    order limit. A graph has a crossing-free arrangement iff it is
+    outerplanar, so every other graph gets None from the linear-time
+    `is_outerplanar` before any table is built or any prefix searched.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
+    if not is_outerplanar(g):
+        return None
     incumbent: int | None = None
     witnesses: list[tuple[int, ...]] = []
     explored = 0

@@ -12,6 +12,7 @@ from conftest import (
     graph_and_arrangement,
     labeled_graphs,
     letters_of,
+    oracle_is_outerplanar,
     oracle_minla,
 )
 from linarr import (
@@ -111,10 +112,14 @@ def test_c5_branch_and_bound_equals_exhaustive_up_to_order_6():
 
 def test_c6_book_embedding_equivalence_up_to_order_6():
     """Criterion 6: a crossing-free arrangement exists iff the forbidden-minor
-    test says outerplanar, for every connected class with n <= 6."""
+    test says outerplanar, for every connected class with n <= 6. The solver
+    answers a non-outerplanar graph from `is_outerplanar` itself, so the
+    search's own verdict, from the first item of its stream, is checked
+    against the minor oracle too."""
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
             assert (solve_planar_minla(g) is not None) == is_outerplanar(g)
+            assert (next(iter_crossing_free(g), None) is not None) == oracle_is_outerplanar(g)
 
 
 def test_c7_search_reproduces_the_example():

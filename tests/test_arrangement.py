@@ -3,6 +3,8 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import arr_of, oracle_positions
 from linarr import (
@@ -22,6 +24,12 @@ class TestArrangement:
         arr = arr_of("aebdc")
         assert arr.positions == (1, 3, 5, 4, 2)
         assert arr.vertex_order() == (0, 4, 1, 3, 2)
+
+    @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_vertex_order_sorts_by_position(self, perm):
+        positions = tuple(perm)
+        expected = tuple(sorted(range(len(positions)), key=positions.__getitem__))
+        assert Arrangement(positions).vertex_order() == expected
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValidationError):

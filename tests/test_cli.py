@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import linarr
+import linarr.cli as cli
 from linarr import emit_arc_diagram, parse_arrangement, parse_graph, run_cli
 from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_CLAIMS, MAX_ORDER_DP, MAX_ORDER_SEARCH
 
@@ -52,6 +53,13 @@ SEARCH_ORDER7_SHA256 = "634fae84de553c025fd182bc175664f7a317ad7b664b72aa2b6ced9c
 # The same for `--max-order 8` (579 gap graphs), taken while the gap search
 # still collected each order's classes before solving them.
 SEARCH_ORDER8_SHA256 = "49f3f8f498973ee6a0702fabff9a39bf802dfe9a74689e748bb79a4f43515c15"
+
+# A star with centre a and leaves b..i: 20,160 crossing-free optima up to
+# reversal, every one emitted as a witness.
+STAR9_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghi")
+# sha256 of `linarr planar-minla <star> --json` stdout, taken while
+# vertex_order() still sorted the vertices by position.
+STAR9_PLANAR_SHA256 = "2b0426bb200ff88cb8452d6bcc83868f83649aa6a75c3e554cb5ab7cf58afbc8"
 
 
 @pytest.fixture
@@ -130,6 +138,13 @@ class TestPlanarMinla:
         code, out, _ = run(capsys, "planar-minla", pentagon_file, "--json")
         assert code == 0
         assert out == PENTAGON_PLANAR_JSON
+
+    def test_nine_star_json_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "star9.edges"
+        path.write_text(STAR9_TEXT)
+        code, out, _ = run(capsys, "planar-minla", str(path), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STAR9_PLANAR_SHA256
 
     def test_order_limit_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "big.edges"
@@ -287,14 +302,48 @@ class TestExitCodes:
         assert "'a,b'" in err
 
 
-def test_python_dash_m_entry_point():
+def run_fresh(*argv):
+    """`python -m linarr ARGV` in a new interpreter: (exit code, stdout, stderr)."""
     src = str(Path(linarr.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "linarr", "--help"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "linarr", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert "usage: linarr" in proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_entry_point():
+    code, out, _ = run_fresh("--help")
+    assert code == 0
+    assert "usage: linarr" in out
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch, pentagon_file):
+    # Help text is wrapped to the terminal width, so fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("frobnicate",),
+        ("--help",),
+        ("minla", pentagon_file, "--solver", "bnb"),
+        ("minla", pentagon_file),
+        ("planar-minla", pentagon_file),
+        ("verify", pentagon_file, "a,e,b,d"),
+        ("frobnicate",),
+    ]
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    replies = [run(capsys, *argv) for argv in calls]
+    assert len(built) == 1
+    assert [code for code, _, _ in replies] == [2, 0, 0, 0, 0, 1, 2]
+    for argv, reply in zip(calls, replies):
+        assert reply == run_fresh(*argv), argv
 
 
 class TestDeterminism:

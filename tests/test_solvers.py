@@ -15,6 +15,7 @@ from conftest import (
     letters_of,
     oracle_claims,
     oracle_crossing_free_set,
+    oracle_is_outerplanar,
     oracle_minla,
     oracle_planar_minla,
     path_graph,
@@ -270,6 +271,22 @@ class TestPlanarSolver:
 
         monkeypatch.setattr("linarr.solvers._subset_tables", no_tables)
         assert solve_planar_minla(wheel) is None
+
+    def test_non_outerplanar_gets_none_before_any_search(self, monkeypatch):
+        # These graphs pass the 2n - 3 edge count, so only the outerplanarity
+        # test keeps them from the tables and the prefix search. They are
+        # chosen by the minor oracle, not by the test the solver uses.
+        gated = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)
+                 if g.size <= 2 * n - 3 and not oracle_is_outerplanar(g)]
+        assert len(gated) == 354
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a non-outerplanar graph reached the crossing-free search")
+
+        monkeypatch.setattr("linarr.solvers._subset_tables", refuse)
+        monkeypatch.setattr("linarr.solvers._crossing_free_search", refuse)
+        for g in gated:
+            assert solve_planar_minla(g) is None
 
     def test_optima_are_pinned_to_order_seven(self):
         digest = hashlib.sha256()
