@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .arrangement import Arrangement
 from .errors import ValidationError
-from .graph import Graph, enumerate_connected_outerplanar_graphs, is_outerplanar
+from .graph import Graph, enumerate_connected_outerplanar_graphs
 from .solvers import MAX_ORDER_SEARCH, solve_minla_dp, solve_planar_minla
 
 
@@ -38,15 +38,16 @@ class GapReport:
 
 
 def compute_gap(g: Graph) -> GapReport:
-    """Run the outerplanarity test and both exact solvers on one graph.
+    """Run both exact solvers on one graph.
 
-    The crossing-free solver runs only on outerplanar graphs: a graph has a
-    crossing-free arrangement iff it is outerplanar (Bernhart & Kainen
-    1979), so on any other graph the solver could only return None.
+    A graph has a crossing-free arrangement iff it is outerplanar (Bernhart
+    & Kainen 1979), and the crossing-free solver answers None, after its
+    linear-time outerplanarity test and before any search, exactly when it
+    is not; so that answer is the report's `outerplanar` flag.
     """
-    outerplanar = is_outerplanar(g)
     minla = solve_minla_dp(g)
-    planar = solve_planar_minla(g, dedup_reversals=True) if outerplanar else None
+    planar = solve_planar_minla(g, dedup_reversals=True)
+    outerplanar = planar is not None
     if planar is None:
         planar_opt = None
         gap = None

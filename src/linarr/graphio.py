@@ -207,7 +207,7 @@ def parse_arrangement(text: str, doc: GraphDocument) -> Arrangement:
 
 
 def emit_arrangement(arr: Arrangement, labels: Sequence[str]) -> str:
-    return ",".join(labels[v] for v in arr.vertex_order())
+    return ",".join(map(labels.__getitem__, arr.vertex_order()))
 
 
 def parse_edge_subset(text: str, doc: GraphDocument) -> list[tuple[int, int]]:

@@ -8,7 +8,8 @@ onto positions 1..n, the latter pruning prefixes, and are kept as
 references. The crossing-free solver and `iter_crossing_free` share one
 prefix search, which drops a prefix as soon as some edge, placed or still
 to come, must cross, or no crossing-free arrangement can extend it; the
-solver also drops prefixes by the subset DP's exact cost-to-go, and it
+solver also drops prefixes by the subset DP's exact cost-to-go, expands a
+prefix that only ties the best cost once the optimum is known, and it
 answers a graph that is not outerplanar, which has no crossing-free
 arrangement, with None from the linear-time outerplanarity test before it
 builds any table. Each solver has a maximum order (`MAX_ORDER_*`) above
@@ -61,7 +62,10 @@ class SolveResult:
     member. For the enumerating solvers, `explored` counts the complete
     arrangements whose cost was evaluated, which makes pruned and unpruned
     solvers directly comparable; for the subset DP it counts the subset
-    states evaluated, 2**n.
+    states evaluated, 2**n. The crossing-free solver drops the larger
+    member of each mirror pair inside its search, so its `explored` is
+    smaller with `deduped_reversals`; the other solvers count the same in
+    both modes.
     """
 
     optimal_cost: int
@@ -90,7 +94,7 @@ def _finalize(optimal_cost: int, position_tuples: list[tuple[int, ...]], explore
                 unique.append(p)
                 skip.add(tuple(map(mirror, p)))
         kept = unique
-    return SolveResult(optimal_cost, tuple(map(Arrangement, kept)), explored, solver_id,
+    return SolveResult(optimal_cost, tuple(map(Arrangement._trusted, kept)), explored, solver_id,
                        dedup_reversals)
 
 
@@ -268,10 +272,10 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
                     best = c
         lex[s] = best
     pos = tuple(lex[0] // w % (n + 1) for w in weight)
-    return SolveResult(opt, (Arrangement(pos),), size, SOLVER_DP, dedup_reversals)
+    return SolveResult(opt, (Arrangement._trusted(pos),), size, SOLVER_DP, dedup_reversals)
 
 
-def _crossing_free_search(g: Graph, bounded: bool = False
+def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool = False
                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first prefix search over crossing-free arrangements.
 
@@ -306,9 +310,24 @@ def _crossing_free_search(g: Graph, bounded: bool = False
     Cost is the running sum of prefix cuts. When `bounded`, the subset
     DP's exact cost-to-go togo[S] = ahead[V - S] is built (after rule (c),
     so a graph it rejects builds no tables), and a prefix is dropped when
-    its cost plus togo exceeds the best cost yielded so far; ties survive,
-    so every optimum is still yielded. Unbounded, the stream holds every
-    crossing-free arrangement.
+    its cost plus togo exceeds the best cost yielded so far. A prefix
+    whose bound equals that incumbent is not expanded but deferred: its
+    parent level, with only that candidate left to try, and a copy of the
+    positions go on a list of resume points, which a leaf that lowers the
+    incumbent empties. Leaves that tie are yielded at once. When the
+    depth-first pass ends, the incumbent is the optimum, so the surviving
+    resume points are exactly the deferred prefixes whose bound equals it;
+    they are expanded with ties allowed. No prefix is thus expanded on a
+    tie that later proves non-optimal, and every optimum is yielded.
+    Unbounded, the stream holds every crossing-free arrangement.
+
+    With `dedup_reversals`, a prefix of (n + 1) // 2 vertices is dropped
+    unless it holds vertex 0 and, for odd n with vertex 0 in the middle,
+    vertex 1. A position tuple p precedes its mirror n + 1 - p iff vertex
+    0 lies left of the middle, or in it with vertex 1 to its left; so of
+    each mirror pair only the smaller member is yielded. The optima are
+    closed under reversal, so the bounded search still finds the optimum
+    and yields the smaller member of every optimal pair.
 
     The search runs in one generator frame over an explicit stack of
     levels, one per placed prefix. A level holds the candidates still to
@@ -329,6 +348,10 @@ def _crossing_free_search(g: Graph, bounded: bool = False
     nbrs = g.neighbor_masks
     adj = [[w for w in range(n) if mask >> w & 1] for mask in nbrs]
     full = (1 << n) - 1
+    # The mirror break's prefix size (-1: no break), and the middle
+    # position, which for odd n also needs vertex 1 placed.
+    half = (n + 1) // 2 if dedup_reversals else -1
+    middle = half if n & 1 else 0
 
     def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
         if not full:
@@ -337,14 +360,21 @@ def _crossing_free_search(g: Graph, bounded: bool = False
         # Never reset: the path to a leaf has overwritten every entry.
         pos = [0] * n
         incumbent = math.inf
+        # Resume points of the prefixes deferred on a tie, while `deferring`.
+        ties = []
+        deferring = True
         levels = []
         # The current level, unpacked; `levels` holds its ancestors.
         m, placed, free, cut, spent, stack, depth, segs, run = full, 0, full, 0, 0, (), 0, (0,), 0
         while True:
             if not m:
-                if not levels:
+                if levels:
+                    m, placed, free, cut, spent, stack, depth, segs, run = levels.pop()
+                elif ties:
+                    deferring = False
+                    (m, placed, free, cut, spent, stack, depth, segs, run), pos = ties.pop()
+                else:
                     return
-                m, placed, free, cut, spent, stack, depth, segs, run = levels.pop()
                 continue
             bit = m & -m
             m ^= bit
@@ -352,8 +382,15 @@ def _crossing_free_search(g: Graph, bounded: bool = False
             nb = nbrs[v] & placed
             k = nb.bit_count()
             s = placed | bit
-            if togo is not None and spent + togo[s] > incumbent:
-                continue
+            if togo is not None:
+                bound = spent + togo[s]
+                if bound >= incumbent:
+                    if bound > incumbent:
+                        continue
+                    if deferring and s != full:
+                        ties.append(((bit, placed, free, cut, spent, stack, depth, segs, run),
+                                     pos[:]))
+                        continue
             # Stack entries that stay under v: the top k - 1 close now, and
             # the deepest neighbour stays while it has other unplaced ones.
             keep = depth
@@ -374,13 +411,16 @@ def _crossing_free_search(g: Graph, bounded: bool = False
                     continue  # (a)
                 top += (v,)
             new_cut = cut + nbrs[v].bit_count() - 2 * k
-            pos[v] = placed.bit_count() + 1
+            pos[v] = p = placed.bit_count() + 1
             new_spent = spent + new_cut
             if s == full:
                 if new_spent < incumbent:
                     incumbent = new_spent
+                    ties.clear()
                 yield new_spent, tuple(pos)
                 continue
+            if p == half and (not s & 1 or pos[0] == middle and not s & 2):
+                continue  # the mirror break
             levels.append((m, placed, free, cut, spent, stack, depth, segs, run))
             placed, free, cut, spent, stack = s, free ^ bit, new_cut, new_spent, top
             depth = len(stack)
@@ -403,13 +443,17 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
     """Minimize total edge length over crossing-free arrangements only.
 
     Returns None when the graph admits no crossing-free arrangement. The
-    witness set contains every crossing-free optimum (before reversal
-    dedup), so it doubles as the planar-optima enumerator. `explored`
-    counts the complete arrangements the pruned search reaches. The
-    search is pruned by the subset DP's tables, so it shares that solver's
-    order limit. A graph has a crossing-free arrangement iff it is
-    outerplanar, so every other graph gets None from the linear-time
-    `is_outerplanar` before any table is built or any prefix searched.
+    witness set contains every crossing-free optimum, or with
+    `dedup_reversals` the smaller member of each mirror pair of them, so it
+    doubles as the planar-optima enumerator. The search yields only those:
+    it defers prefixes that tie the incumbent until the optimum is known,
+    and with `dedup_reversals` it drops the larger half of the mirror pairs
+    itself. `explored` counts the complete arrangements the pruned search
+    reaches, so it is smaller with `dedup_reversals`. The search is pruned
+    by the subset DP's tables, so it shares that solver's order limit. A
+    graph has a crossing-free arrangement iff it is outerplanar, so every
+    other graph gets None from the linear-time `is_outerplanar` before any
+    table is built or any prefix searched.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
     if not is_outerplanar(g):
@@ -417,7 +461,7 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
     incumbent: int | None = None
     witnesses: list[tuple[int, ...]] = []
     explored = 0
-    for c, positions in _crossing_free_search(g, bounded=True):
+    for c, positions in _crossing_free_search(g, bounded=True, dedup_reversals=dedup_reversals):
         explored += 1
         if incumbent is None or c < incumbent:
             incumbent = c
@@ -425,7 +469,9 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
         witnesses.append(positions)
     if incumbent is None:
         return None
-    return _finalize(incumbent, witnesses, explored, SOLVER_PLANAR, dedup_reversals)
+    witnesses.sort()
+    return SolveResult(incumbent, tuple(map(Arrangement._trusted, witnesses)), explored,
+                       SOLVER_PLANAR, dedup_reversals)
 
 
 def enumerate_planar_optima(g: Graph) -> list[Arrangement] | None:
@@ -444,7 +490,7 @@ def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:
     first failures in it. The stream is lazy and builds no tables.
     """
     for _, positions in _crossing_free_search(g):
-        yield Arrangement(positions)
+        yield Arrangement._trusted(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,19 @@ class TestArrangement:
         with pytest.raises(ValidationError):
             Arrangement((0, 1, 2))
 
+    def test_trusted_and_validated_instances_agree(self):
+        # The solvers build witnesses without the bijection check; those
+        # must be indistinguishable from checked ones.
+        for positions in [(), (1,), (2, 3, 1), (1, 3, 5, 4, 2)]:
+            trusted = Arrangement._trusted(positions)
+            checked = Arrangement(positions)
+            assert trusted == checked and hash(trusted) == hash(checked)
+            assert not trusted < checked and not checked < trusted
+        mixed = [Arrangement._trusted((2, 1, 3)), Arrangement((1, 3, 2)),
+                 Arrangement._trusted((1, 2, 3)), Arrangement((2, 1, 3))]
+        assert [a.positions for a in sorted(mixed)] == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 1, 3)]
+        assert len(set(mixed)) == 3
+
     def test_reverse_is_involution(self):
         arr = arr_of("aebdc")
         assert reverse(reverse(arr)) == arr

@@ -54,12 +54,12 @@ class TestComputeGap:
         assert not report.outerplanar
 
     def test_planar_solver_runs_only_on_outerplanar_graphs(self, monkeypatch):
-        # K2,3 passes the engine's edge-count rule, so only the
-        # outerplanarity gate keeps the solver from searching it.
+        # K2,3 passes the engine's edge-count rule, so only the solver's
+        # outerplanarity gate keeps the search from starting on it.
         def no_call(*args, **kwargs):
-            raise AssertionError("crossing-free solve of a non-outerplanar graph")
+            raise AssertionError("crossing-free search of a non-outerplanar graph")
 
-        monkeypatch.setattr(linarr.gap_search, "solve_planar_minla", no_call)
+        monkeypatch.setattr("linarr.solvers._crossing_free_search", no_call)
         for g in [complete_graph(4), complete_bipartite(2, 3)]:
             report = compute_gap(g)
             assert not report.outerplanar
