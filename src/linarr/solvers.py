@@ -7,14 +7,23 @@ exhaustive and branch-and-bound solvers enumerate arrangements of vertices
 onto positions 1..n, the latter pruning prefixes, and are kept as
 references. The crossing-free solver and `iter_crossing_free` share one
 prefix search, which drops a prefix as soon as some edge, placed or still
-to come, must cross, or no crossing-free arrangement can extend it; the
-solver also drops prefixes by the subset DP's exact cost-to-go, expands a
-prefix that only ties the best cost once the optimum is known, and it
-answers a graph that is not outerplanar, which has no crossing-free
-arrangement, with None from the linear-time outerplanarity test before it
-builds any table. Each solver has a maximum order (`MAX_ORDER_*`) above
-which it raises ValidationError instead of running for hours; the
-crossing-free solver builds the subset DP's tables and shares its limit.
+to come, must cross, or no crossing-free arrangement can extend it. One of
+its rules, (d), is the cut-vertex pocket rule: while some placed vertex
+has an unplaced neighbour, a vertex v with no placed neighbour is placed
+only if an unplaced neighbour b of the last such vertex t cuts v off from
+every placed vertex. Proof: let b be the neighbour of t placed first
+after t. The edge (t, b) is then the innermost edge over v's position,
+and every vertex from v up to b has all its neighbours in that range, so
+v's component of G - b is unplaced. A 2-connected graph has no cut
+vertex, so there every vertex after the first has a placed neighbour when
+it is placed. The solver also drops prefixes by the subset DP's exact
+cost-to-go, expands a prefix that only ties the best cost once the
+optimum is known, and it answers a graph that is not outerplanar, which
+has no crossing-free arrangement, with None from the linear-time
+outerplanarity test before it builds any table. Each solver has a maximum
+order (`MAX_ORDER_*`) above which it raises ValidationError instead of
+running for hours; the crossing-free solver builds the subset DP's tables
+and shares its limit.
 """
 
 from __future__ import annotations
@@ -42,9 +51,10 @@ SOLVER_PLANAR = "planar-prefix"
 # builds and solves only the connected outerplanar classes (OEIS
 # A111563): 3,783 at order 9, built in about 13 s, with the whole search
 # taking about 20 s; order 10 has 20,074. The claim checker walks every
-# crossing-free arrangement with no bound to prune them; for a
-# triangle with pendants on one vertex that takes 1.5 s at order 9, 17 s
-# at order 10 and 182 s at order 11.
+# crossing-free arrangement with no bound to prune them, so its time
+# follows their number. A triangle with pendants on one vertex has
+# 2n(n - 2)! of them, and checking it takes 0.5-0.9 s at order 9,
+# 5.5-6.7 s at order 10 and 62 s at order 11 (7,983,360 arrangements).
 MAX_ORDER_EXHAUSTIVE = 10
 MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
@@ -275,6 +285,22 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     return SolveResult(opt, (Arrangement._trusted(pos),), size, SOLVER_DP, dedup_reversals)
 
 
+def _components(nbrs: tuple[int, ...], within: int) -> list[int]:
+    """The connected components, as masks, of the subgraph induced by `within`."""
+    pieces = []
+    while within:
+        comp = todo = within & -within
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = nbrs[low.bit_length() - 1] & within & ~comp
+            comp |= new
+            todo |= new
+        within ^= comp
+        pieces.append(comp)
+    return pieces
+
+
 def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool = False
                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first prefix search over crossing-free arrangements.
@@ -289,9 +315,9 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     placed, so no placed or future edge can cross them. An open vertex
     leaves the stack only by closing.
 
-    Three more rules drop prefixes that no crossing-free arrangement
-    extends, so they change nothing that is yielded. Let v be the vertex
-    just placed and t the stack entry left directly under it.
+    Four more rules drop prefixes that no crossing-free arrangement
+    extends, so they change nothing that is yielded. In (a) to (c), let v
+    be the vertex just placed and t the stack entry left directly under it.
 
     (a) Stack contiguity: for each unplaced neighbour w of v, the placed
         neighbours of w other than v must be the top of the stack under v.
@@ -306,6 +332,22 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
         one-page book embedding, so it is outerplanar (Bernhart & Kainen,
         "The book thickness of a graph", JCTB 27, 1979) and has at most
         2n - 3 edges when n >= 2. A denser graph yields nothing.
+    (d) Pockets: while the stack is non-empty, with t on top, a vertex v
+        with no placed neighbour may be placed only if some unplaced
+        neighbour b of t cuts v off from every placed vertex, i.e. v's
+        component of G - b holds no placed vertex (b != v, as v has no
+        placed neighbour). Take b to be the neighbour of t placed first
+        after t. The vertices placed after t are closed, so (t, b) is the
+        innermost edge over the gap in front of v. A vertex x from v up to
+        b with a neighbour y outside that range is impossible: y left of
+        t, or right of b, makes x-y cross (t, b); y = t makes x a
+        neighbour of t placed before b; y placed after t is closed, yet x
+        is unplaced. So v's component of G - b lies in the unplaced range
+        from v to b. In a 2-connected graph G - b is connected and holds
+        t, so after the first vertex no vertex without a placed neighbour
+        is placed. The rule is applied to the candidate mask when a level
+        is pushed, and only when some unplaced vertex has no placed
+        neighbour; the components of each G - b are built on first use.
 
     Cost is the running sum of prefix cuts. When `bounded`, the subset
     DP's exact cost-to-go togo[S] = ahead[V - S] is built (after rule (c),
@@ -352,6 +394,9 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     # position, which for odd n also needs vertex 1 placed.
     half = (n + 1) // 2 if dedup_reversals else -1
     middle = half if n & 1 else 0
+    # split[b]: the components of G - b as masks, for rule (d); each is
+    # built the first time b is a later neighbour of the top of the stack.
+    split: list[list[int] | None] = [None] * n
 
     def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
         if not full:
@@ -432,9 +477,24 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
             run = 0
             while run < depth and (nbrs[stack[~run]] & free).bit_count() == 1:
                 run += 1
+            if not stack:
+                m = free
+                continue
             # A vertex with a placed neighbour has an open one, so it needs
-            # the top of the stack among its neighbours.
-            m = free & (~reach | nbrs[stack[-1]]) if stack else free
+            # the top t of the stack among its neighbours. The others, free
+            # & ~reach, need a pocket by rule (d): a component of G - b,
+            # for an unplaced neighbour b of t, with no placed vertex.
+            t = stack[-1]
+            m = nbrs[t] & free
+            if free & ~reach:
+                for b in adj[t]:
+                    if free >> b & 1:
+                        pieces = split[b]
+                        if pieces is None:
+                            pieces = split[b] = _components(nbrs, full ^ 1 << b)
+                        for c in pieces:
+                            if not c & placed:
+                                m |= c
 
     return walk()
 

@@ -28,6 +28,7 @@ from linarr import (
     check_dominating_edge_claims,
     cost,
     enumerate_connected_graphs,
+    enumerate_connected_outerplanar_graphs,
     enumerate_planar_optima,
     is_outerplanar,
     is_planar_arrangement,
@@ -70,13 +71,21 @@ PLANAR_ORDER7_SHA256 = "d39b322734b7c7bf18a811cf91096a478323ce28c381572a92f0f631
 PLANAR_WITNESSES_ORDER7_SHA256 = (
     "b4786812978ea418f0041e9dd61bc628b48ca01ce435ddf009294bc6d75e7ff3")
 
-# Order-8 graphs whose searches reach prefixes that the stack-contiguity
-# and one-vertex-per-gap rules drop. The K2,3 subdivision keeps the 4-cycle
-# 0-2-1-3 and subdivides the path through 4.
+# Order-8 graphs whose searches reach prefixes that the stack-contiguity,
+# one-vertex-per-gap and pocket rules drop. The K2,3 subdivision keeps the
+# 4-cycle 0-2-1-3 and subdivides the path through 4. The last four have cut
+# vertices, so the pocket rule must admit some vertices without a placed
+# neighbour and drop others: pendants on a 4-cycle, two 4-cycles sharing
+# vertex 3 with a pendant on it, a tree, and three components.
 ORDER8_RULE_GRAPHS = {
     "C8-chords": cycle_graph(8).edges | {(0, 4), (1, 3)},
     "C5-3pendants": cycle_graph(5).edges | {(0, 5), (1, 6), (2, 7)},
     "K23-subdivision": [(0, 2), (2, 1), (0, 3), (3, 1), (0, 5), (5, 6), (6, 4), (4, 7), (7, 1)],
+    "C4-4pendants": cycle_graph(4).edges | {(0, 4), (1, 5), (2, 6), (3, 7)},
+    "two-blocks-pendant": [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3),
+                           (3, 7)],
+    "tree": [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6), (5, 7)],
+    "C4+P3+K1": cycle_graph(4).edges | {(4, 5), (5, 6)},
 }
 
 
@@ -283,6 +292,33 @@ class TestPlanarSolver:
     def test_dead_prefix_rules_match_oracle_at_order_eight(self, name):
         g = make_graph(8, ORDER8_RULE_GRAPHS[name])
         assert {a.positions for a in iter_crossing_free(g)} == oracle_crossing_free_set(g)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_two_connected_graphs_have_2n_arrangements(self, n):
+        # Lemma (i): in a crossing-free arrangement of a 2-connected graph,
+        # consecutive positions, and the first and last, hold adjacent
+        # vertices, so the arrangements are the 2n rotations and reflections
+        # of its Hamiltonian cycle. networkx picks the 2-connected classes.
+        nx = pytest.importorskip("networkx")
+        blocks = 0
+        for g in enumerate_connected_outerplanar_graphs(n):
+            h = nx.Graph(list(g.edges))
+            if not nx.is_biconnected(h):
+                continue
+            blocks += 1
+            orders = [a.vertex_order() for a in iter_crossing_free(g)]
+            assert len(orders) == 2 * n
+            for order in orders:
+                assert all(h.has_edge(u, v) for u, v in zip(order, order[1:] + order[:1]))
+        # 110 classes in all.
+        assert blocks == {3: 1, 4: 2, 5: 3, 6: 9, 7: 20, 8: 75}[n]
+
+    def test_long_cycle_stream_is_fast(self):
+        # The pocket rule keeps the search to prefixes that some arrangement
+        # extends; without it the 16-cycle pushes 791,520 prefixes.
+        start = time.perf_counter()
+        assert sum(1 for _ in iter_crossing_free(cycle_graph(16))) == 32
+        assert time.perf_counter() - start < 2.0
 
     def test_too_many_edges_for_outerplanar_builds_no_tables(self, monkeypatch):
         # The 6-wheel has 12 > 2n - 3 edges, so no crossing-free arrangement.
