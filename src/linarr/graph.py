@@ -10,14 +10,18 @@ over vertex orderings. Unrestricted, it gives the canonical form. Restricted
 to orderings that follow a colour refinement of the graph, it gives a
 complete invariant that is much cheaper to compute: `are_isomorphic`
 compares these invariants, and enumeration uses them to recognise repeated
-classes, so the unrestricted search runs once per class. Enumeration adds
-one vertex to each smaller representative and, before keying, skips the
-extensions that twin cells or a minimum-degree argument show to be covered
-by another extension. The same engine can keep only outerplanar graphs,
-extending outerplanar representatives alone; that stream feeds the gap
-search. Everything here is exact; enumeration of all graphs is intended
-for orders up to 8 (12,346 classes), of outerplanar ones up to 9 (5,291
-classes).
+classes, so the unrestricted search runs once per class. The search is
+set-first: a minimum key starts with a maximum independent set of the
+lowest colour class, whose rows are zero in any order, so the search
+places each such set at once as one unordered cell and orders it lazily,
+splitting it by each later vertex's neighbours (`_min_key` gives the
+proofs). Enumeration adds one vertex to each smaller representative and,
+before keying, skips the extensions that twin cells or a minimum-degree
+argument show to be covered by another extension. The same engine can keep
+only outerplanar graphs, extending outerplanar representatives alone; that
+stream feeds the gap search. Everything here is exact; enumeration of all
+graphs is intended for orders up to 8 (12,346 classes), of outerplanar
+ones up to 9 (5,291 classes).
 """
 
 from __future__ import annotations
@@ -153,8 +157,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # search prune an ordering as soon as its prefix exceeds the best known.
 
 
-def _twin_cells(adj: Sequence[int]) -> list[list[int]]:
-    """Split the vertices into twin cells, each ascending, by first vertex.
+def _twin_masks(adj: Sequence[int]) -> list[int]:
+    """For each vertex, the bitmask of its twin cell.
 
     Two vertices are twins when they have the same neighbours apart from
     each other, so swapping them is an automorphism. Twinship is an
@@ -162,65 +166,98 @@ def _twin_cells(adj: Sequence[int]) -> list[list[int]]:
     neighbourhoods) or not (equal open ones), and an adjacent pair u, v
     with a non-adjacent pair v, w is impossible, since u in N(v) = N(w)
     puts w in N(u) - {v} = N(v) - {u}. So any permutation inside a cell is
-    an automorphism.
+    an automorphism, and a vertex's cell is the union of the vertices with
+    its open neighbourhood and those with its closed one.
     """
-    cells: list[list[int]] = []
-    for v in range(len(adj)):
-        for cell in cells:
-            w = cell[0]
-            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
-                cell.append(v)
-                break
-        else:
-            cells.append([v])
-    return cells
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        by_open[a] = by_open.get(a, 0) | 1 << v
+        closed = a | 1 << v
+        by_closed[closed] = by_closed.get(closed, 0) | 1 << v
+    return [by_open[a] | by_closed[a | 1 << v] for v, a in enumerate(adj)]
+
+
+def _twin_cells(adj: Sequence[int]) -> list[list[int]]:
+    """Split the vertices into twin cells (`_twin_masks`), each ascending,
+    by first vertex."""
+    return [_bits_of(mask) for mask in dict.fromkeys(_twin_masks(adj))]
 
 
 def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Minimum prefix-bits key over the vertex orderings that list vertices
     by ascending colour; returns (bits, an ordering achieving them).
 
+    The search is set-first. Let C0 be the lowest colour class (all vertices
+    for the canonical key) and alpha the size of a maximum independent set
+    of G[C0]; the first |C0| positions of every ordering hold C0.
+
+    (a) Every minimum key begins with a maximum independent set I of G[C0].
+        Proof: rows 1..a-1 are zero iff the first a vertices are
+        independent. If only the first a < alpha are, row a has a one bit,
+        so a one lies within the first a(a+1)/2 bits. An ordering that
+        starts with alpha independent vertices of C0 has alpha(alpha-1)/2
+        >= a(a+1)/2 leading zeros, so it is smaller. The search enumerates
+        these sets I (`_maximum_independent_sets`), not their alpha!
+        orderings.
+    (b) I stays an ordered list of cells, ordered lazily. The rows of I are
+        zero in every internal order, so only the rows of later vertices
+        depend on it, and only through the cells. Against ordered cells, a
+        candidate u's least row puts its neighbours last in each cell: per
+        cell, zeros, then ones (`_cells_row`). Placing u splits each cell
+        into its non-neighbours, then its neighbours, and appends u as a
+        singleton. Proof that this is exact: every row placed so far is
+        constant on each cell, so all the orderings that agree with the
+        cells share the placed bits, and those are the least any ordering
+        of I gives them. The next row decides among these orderings first,
+        and its least value over them is reached exactly on the orderings
+        that agree with u's split. So every ordering that agrees with the
+        final cells reaches the same key, the minimum. Once every cell is a
+        single vertex, the order of I is fixed and the rows are plain
+        prefix bits.
+
     Two exact prunings apply at each level. Every key has the same length,
-    so a candidate whose bits against the placed prefix exceed another
-    candidate's loses whatever follows: only the minimal ones are tried.
-    And a candidate in the twin cell of a tried one (`_twin_cells`) is
-    skipped: swapping two twins is an automorphism that fixes the prefix,
-    so their subtrees hold equal keys.
+    so a candidate whose row exceeds another candidate's loses whatever
+    follows: only the minimal ones are tried, and a prefix that exceeds the
+    best key's is cut. And a candidate in the twin cell of a tried one
+    (`_twin_masks`) is skipped: swapping two twins is an automorphism that
+    fixes everything placed, so their subtrees hold equal keys. For the same
+    reason only sets I that meet each twin cell in its lowest vertices are
+    enumerated: a permutation inside a twin cell maps any other I to one of
+    these and keeps every key.
     """
     n = g.order
+    if n == 0:
+        return 0, ()
     adj = g.neighbor_masks
-    twins = [0] * n
-    for cell in _twin_cells(adj):
-        mask = sum(1 << v for v in cell)
-        for v in cell:
-            twins[v] = mask
+    twins = _twin_masks(adj)
     # Unplaced vertices stay sorted by (colour, vertex), so the candidates
     # at a level, the unplaced vertices of its colour, are a prefix of them:
     # ends[level] counts the vertices whose colour is at most the level's.
-    start = sorted(range(n), key=lambda v: (colour[v], v))
+    start = sorted(range(n), key=colour.__getitem__)
     level_colour = [colour[v] for v in start]
     ends = [bisect_right(level_colour, c) for c in level_colour]
     total_bits = n * (n - 1) // 2
-    best_bits: int | None = None
-    best_order: tuple[int, ...] = ()
+    best_bits = 1 << total_bits
+    best: tuple[list[int], tuple[int, ...]] = ([], ())
     order: list[int] = []
 
-    def rec(unplaced: list[int], bits: list[int], prefix: int) -> None:
-        # bits[i]: unplaced[i]'s adjacency to the placed prefix, first-placed
-        # vertex as the most significant bit.
-        nonlocal best_bits, best_order
-        level = len(order)
+    def rec(cells: list[int], unplaced: list[int], bits: list[int], prefix: int) -> None:
+        # cells: the ordered cells of I while one holds two vertices, else
+        # empty with I at the front of `order`. bits[i]: unplaced[i]'s least
+        # row against the placed vertices, first-placed as the most
+        # significant bit.
+        nonlocal best_bits, best
+        level = n - len(unplaced)
         if level == n:
-            if best_bits is None or prefix < best_bits:
-                best_bits, best_order = prefix, tuple(order)
+            if prefix < best_bits:
+                best_bits, best = prefix, (cells, tuple(order))
             return
         k = ends[level] - level
         low = min(bits[:k])
         prefix = (prefix << level) | low
-        if best_bits is not None:
-            placed_bits = (level + 1) * level // 2
-            if prefix > best_bits >> (total_bits - placed_bits):
-                return
+        if prefix > best_bits >> (total_bits - (level + 1) * level // 2):
+            return
         tried = 0
         for i in range(k):
             v = unplaced[i]
@@ -228,15 +265,101 @@ def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
                 continue
             tried |= 1 << v
             av = adj[v]
+            rest = unplaced[:i] + unplaced[i + 1:]
             rest_bits = [(b << 1) | (av >> u & 1) for u, b in zip(unplaced, bits)]
             del rest_bits[i]
             order.append(v)
-            rec(unplaced[:i] + unplaced[i + 1:], rest_bits, prefix)
+            if not cells:
+                rec(cells, rest, rest_bits, prefix)
+            else:
+                split = [part for c in cells for part in (c & ~av, c & av) if part]
+                if len(split) > len(cells):
+                    # v split a cell, so the rows against I change: rebuild
+                    # them in front of the rows against the later vertices.
+                    tail = len(order)
+                    after = (1 << tail) - 1
+                    rest_bits = [_cells_row(adj[u], split) << tail | b & after
+                                 for u, b in zip(rest, rest_bits)]
+                if len(split) < alpha:
+                    rec(split, rest, rest_bits, prefix)
+                else:
+                    # Every cell is one vertex: the order of I is fixed.
+                    order[:0] = [c.bit_length() - 1 for c in split]
+                    rec([], rest, rest_bits, prefix)
+                    del order[:alpha]
             order.pop()
 
-    rec(start, [0] * n, 0)
-    assert best_bits is not None
-    return best_bits, best_order
+    first = 0
+    for v in start[:ends[0]]:
+        first |= 1 << v
+    sets = _maximum_independent_sets(adj, first, twins)
+    alpha = sets[0].bit_count()
+    if alpha == 1:
+        # C0 is a clique: each I is one vertex, and the first level tries
+        # them as it tries any candidates.
+        rec([], start, [0] * n, 0)
+    else:
+        for independent in sets:
+            rest = [v for v in start if not independent >> v & 1]
+            rec([independent], rest,
+                [(1 << (adj[u] & independent).bit_count()) - 1 for u in rest], 0)
+    cells, placed = best
+    for c in reversed(cells):
+        placed = (*_bits_of(c), *placed)
+    return best_bits, placed
+
+
+def _cells_row(mask: int, cells: Sequence[int]) -> int:
+    """The least row of a vertex with neighbour mask `mask` against ordered
+    cells: per cell, its non-neighbours' zeros, then its neighbours' ones."""
+    row = 0
+    for c in cells:
+        row = (row << c.bit_count()) | ((1 << (mask & c).bit_count()) - 1)
+    return row
+
+
+def _maximum_independent_sets(adj: Sequence[int], free: int,
+                               twins: Sequence[int]) -> list[int]:
+    """The maximum independent sets inside the vertex mask `free`, as
+    bitmasks, that meet each twin cell (`twins[v]`, the mask of v's cell)
+    in its lowest vertices.
+
+    An independent `free` is its own only maximum set. Otherwise branches
+    on the lowest free vertex: take it, or drop it together with the rest
+    of its twin cell, and cuts a branch that cannot reach the largest size
+    found so far.
+    """
+    rest = free
+    while rest:
+        bit = rest & -rest
+        if adj[bit.bit_length() - 1] & free:
+            break
+        rest ^= bit
+    else:
+        return [free]
+    found: list[int] = []
+    best = 0
+    stack = [(0, free)]
+    while stack:
+        chosen, free = stack.pop()
+        size = chosen.bit_count()
+        if size + free.bit_count() < best:
+            continue
+        if not free:
+            if size > best:
+                best, found = size, []
+            found.append(chosen)
+            continue
+        bit = free & -free
+        v = bit.bit_length() - 1
+        stack.append((chosen, free & ~twins[v]))
+        stack.append((chosen | bit, free & ~adj[v] & ~bit))
+    return found
+
+
+def _bits_of(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:

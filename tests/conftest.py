@@ -8,7 +8,7 @@ definitions, so tests can compare the two code paths.
 from __future__ import annotations
 
 import string
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -137,6 +137,38 @@ def simple_cycles(g: Graph) -> list[list[tuple[int, int]]]:
     for s in range(g.order):
         extend([s])
     return found
+
+
+def oracle_key(g: Graph, order) -> int:
+    """The prefix-bits key of g under a vertex ordering: each vertex in turn
+    appends one bit per earlier vertex, 1 for an edge, earliest first."""
+    return _oracle_key(_oracle_matrix(g), order)
+
+
+def oracle_min_key(g: Graph, colour) -> int:
+    """The least `oracle_key` over every ordering that lists the vertices by
+    ascending colour, by brute force over the orderings of each colour
+    class (all n! of them for a uniform colouring)."""
+    matrix = _oracle_matrix(g)
+    classes = [[v for v in range(g.order) if colour[v] == c] for c in sorted(set(colour))]
+    return min(_oracle_key(matrix, [v for part in parts for v in part])
+               for parts in product(*(permutations(cls) for cls in classes)))
+
+
+def _oracle_matrix(g: Graph) -> list[list[int]]:
+    matrix = [[0] * g.order for _ in range(g.order)]
+    for u, v in g.edges:
+        matrix[u][v] = matrix[v][u] = 1
+    return matrix
+
+
+def _oracle_key(matrix, order) -> int:
+    key = 0
+    for i, v in enumerate(order):
+        row = matrix[v]
+        for w in order[:i]:
+            key = key << 1 | row[w]
+    return key
 
 
 def oracle_is_connected(n: int, edges) -> bool:

@@ -12,6 +12,8 @@ from conftest import (
     cycle_graph,
     oracle_is_connected,
     oracle_is_outerplanar,
+    oracle_key,
+    oracle_min_key,
     path_graph,
 )
 from linarr import (
@@ -27,7 +29,15 @@ from linarr import (
     pentagon_with_chord,
 )
 import linarr.graph
-from linarr.graph import _all_graph_reps, _twin_cells
+from linarr.graph import (
+    _all_graph_reps,
+    _canonical_order,
+    _maximum_independent_sets,
+    _min_key,
+    _refined_colours,
+    _twin_cells,
+    _twin_masks,
+)
 
 
 def relabeled(g, rng):
@@ -66,6 +76,21 @@ REPS_SHA256 = [
     "16d51cc21da9eac4228b8b651b532284453282a5566cc1cdcd148d2cfc93ec2e",
     "07921b8ffb19a990ef1f6b355b1d3377d1e01dea4b9489dc06e541d2cbc2463a",
 ]
+
+# sha256 of repr([g.sorted_edges for g in _all_graph_reps(9, True)]), taken
+# before the canonical search became set-first.
+OUTERPLANAR_REPS9_SHA256 = "7bd654d46dc203569079f566cd62645e49249c79f99cc7d901828a27d16f052c"
+
+
+def min_key_cases():
+    """Every representative up to order 6, a seeded relabeling of each, and
+    30 seeded random graphs of order 7."""
+    rng = random.Random(15)
+    graphs = [g for n in range(7) for g in _all_graph_reps(n)]
+    graphs += [relabeled(g, rng) for g in graphs]
+    pairs = list(combinations(range(7), 2))
+    graphs += [make_graph(7, [e for e in pairs if rng.random() < 0.5]) for _ in range(30)]
+    return graphs
 
 
 class TestMakeGraph:
@@ -273,6 +298,20 @@ class TestEnumeration:
             _all_graph_reps.__wrapped__(n, True)
         assert keyed[1:] == [1, 2, 4, 10, 32, 122, 494, 2034]
 
+    def test_order_nine_outerplanar_stream_is_pinned(self):
+        # 3,783 connected classes: OEIS A111563.
+        reps = _all_graph_reps(9, True)
+        edges = [g.sorted_edges for g in reps]
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == OUTERPLANAR_REPS9_SHA256
+        assert sum(map(is_connected, reps)) == 3783
+
+    def test_order_nine_sample_is_pairwise_non_isomorphic(self):
+        nx = pytest.importorskip("networkx")
+        sample = random.Random(9).sample(_all_graph_reps(9, True), 200)
+        nx_sample = [to_networkx(nx, g) for g in sample]
+        for (g1, h1), (g2, h2) in combinations(zip(sample, nx_sample), 2):
+            assert not nx.is_isomorphic(h1, h2), (g1, g2)
+
     def test_representatives_are_pinned(self):
         # bench/data/search.json relies on these exact representatives and
         # their order; the digests were taken before the enumeration was
@@ -294,6 +333,48 @@ class TestEnumeration:
     def test_rejects_order_zero(self):
         with pytest.raises(ValidationError):
             list(enumerate_connected_graphs(0))
+
+
+class TestMinKey:
+    """The set-first key search against brute force over all orderings."""
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
+    def test_matches_brute_force(self, refined):
+        for g in min_key_cases():
+            if refined:
+                colour = _refined_colours(g)
+                bits, order = _min_key(g, colour)
+            else:
+                colour = [0] * g.order
+                bits, order = _canonical_order(g)
+            assert bits == oracle_min_key(g, colour), g
+            assert sorted(order) == list(range(g.order)), g
+            assert [colour[v] for v in order] == sorted(colour), g
+            assert oracle_key(g, order) == bits, g
+
+    def test_maximum_independent_sets_up_to_twins(self):
+        # The returned sets are maximum independent sets that meet each twin
+        # cell in its lowest vertices, and they cover every maximum
+        # independent set up to permutations inside twin cells: exactly one
+        # returned set meets each cell in as many vertices.
+        for n in range(1, 7):
+            for g in _all_graph_reps(n):
+                adj = g.neighbor_masks
+                cells = _twin_cells(adj)
+                independent = [m for m in range(1 << n)
+                               if not any(m >> v & 1 and adj[v] & m for v in range(n))]
+                alpha = max(m.bit_count() for m in independent)
+                found = _maximum_independent_sets(adj, (1 << n) - 1, _twin_masks(adj))
+
+                def profile(m):
+                    return tuple(sum(m >> v & 1 for v in cell) for cell in cells)
+
+                for m in found:
+                    assert m in independent and m.bit_count() == alpha, g
+                    for cell, k in zip(cells, profile(m)):
+                        assert all(m >> v & 1 for v in cell[:k]), g
+                assert sorted(map(profile, found)) == sorted(
+                    {profile(m) for m in independent if m.bit_count() == alpha}), g
 
 
 class TestTwinCells:
