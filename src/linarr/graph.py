@@ -6,11 +6,11 @@ enumeration of connected graphs up to isomorphism, and linear-time
 outerplanarity recognition.
 
 Isomorphism rests on one backtracking search for the minimum adjacency key
-over vertex orderings. Unrestricted, it gives the canonical form. Restricted
+over vertex orderings. Unrestricted, it gives the canonical form, and
+enumeration keys every extension it builds by that form alone. Restricted
 to orderings that follow a colour refinement of the graph, it gives a
-complete invariant that is much cheaper to compute: `are_isomorphic`
-compares these invariants, and enumeration uses them to recognise repeated
-classes, so the unrestricted search runs once per class. The search is
+complete invariant that is much cheaper to compute on larger graphs, and
+`are_isomorphic` compares these invariants. The search is
 set-first: a minimum key starts with a maximum independent set of the
 lowest colour class, whose rows are zero in any order, so the search
 places each such set at once as one unordered cell and orders it lazily,
@@ -434,11 +434,12 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     outerplanar, so the P ≅ G - u of rule (ii) is itself an outerplanar
     representative, and rule (i)'s P+σ(S) ≅ P+S is outerplanar iff P+S is.
 
-    Every surviving extension is keyed by `_iso_key`; the canonical search
-    runs once per new class. A representative depends only on its
-    canonical bits, so the rules change the work, not the output: the
-    outerplanar representatives are exactly the outerplanar members of the
-    full list, in the same order.
+    Every surviving extension is keyed by its canonical bits
+    (`_canonical_order`), a complete invariant, and the first of each
+    class is relabelled onto its canonical ordering. A representative
+    depends only on its canonical bits, so the rules change the work, not
+    the output: the outerplanar representatives are exactly the
+    outerplanar members of the full list, in the same order.
     """
     if order == 0:
         return (Graph(0),)
@@ -446,7 +447,6 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     # the levels they cache are reused.
     parents = _all_graph_reps(order - 1, True) if outerplanar else _all_graph_reps(order - 1)
     reps: dict[int, Graph] = {}
-    seen: set[tuple[tuple[int, ...], int]] = set()
     new = order - 1
     for parent in parents:
         adj = parent.neighbor_masks
@@ -462,11 +462,9 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
             g = Graph(order, parent.edges | extra)
             if outerplanar and not is_outerplanar(g):
                 continue
-            key = _iso_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
             bits, vertex_order = _canonical_order(g)
+            if bits in reps:
+                continue
             pos = {v: i for i, v in enumerate(vertex_order)}
             reps[bits] = Graph(order, frozenset((pos[u], pos[v]) for u, v in g.edges))
     return tuple(g for _, g in sorted(reps.items(), key=lambda kv: (len(kv[1].edges), kv[0])))

@@ -7,11 +7,13 @@ exhaustive and branch-and-bound solvers enumerate arrangements of vertices
 onto positions 1..n, the latter pruning prefixes, and are kept as
 references. The crossing-free solver and `iter_crossing_free` share one
 prefix search, which drops a prefix as soon as some edge, placed or still
-to come, must cross, or no crossing-free arrangement can extend it. One of
-its rules, (d), is the cut-vertex pocket rule: while some placed vertex
-has an unplaced neighbour, a vertex v with no placed neighbour is placed
-only if an unplaced neighbour b of the last such vertex t cuts v off from
-every placed vertex. Proof: let b be the neighbour of t placed first
+to come, must cross. Two more exact rules drop prefixes that no
+crossing-free arrangement extends. The edge-count rule answers a graph
+with more than 2n - 3 edges with nothing. The cut-vertex pocket rule
+(rule (d) in ROADMAP.md): while some placed vertex has an unplaced
+neighbour, a vertex v with no placed neighbour is placed only if an
+unplaced neighbour b of the last such vertex t cuts v off from every
+placed vertex. Proof: let b be the neighbour of t placed first
 after t. The edge (t, b) is then the innermost edge over v's position,
 and every vertex from v up to b has all its neighbours in that range, so
 v's component of G - b is unplaced. A 2-connected graph has no cut
@@ -49,12 +51,12 @@ SOLVER_PLANAR = "planar-prefix"
 # for one Xeon core under CPython 3.11. The crossing-free solver uses
 # MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
 # builds and solves only the connected outerplanar classes (OEIS
-# A111563): 3,783 at order 9, built in about 13 s, with the whole search
-# taking about 20 s; order 10 has 20,074. The claim checker walks every
+# A111563): 3,783 at order 9, built in about 4 s, with the whole search
+# taking about 10 s; order 10 has 20,074. The claim checker walks every
 # crossing-free arrangement with no bound to prune them, so its time
 # follows their number. A triangle with pendants on one vertex has
-# 2n(n - 2)! of them, and checking it takes 0.5-0.9 s at order 9,
-# 5.5-6.7 s at order 10 and 62 s at order 11 (7,983,360 arrangements).
+# 2n(n - 2)! of them, and checking it takes 0.5 s at order 9, 6.5-6.7 s
+# at order 10 and 48 s at order 11 (7,983,360 arrangements).
 MAX_ORDER_EXHAUSTIVE = 10
 MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
@@ -315,32 +317,24 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     placed, so no placed or future edge can cross them. An open vertex
     leaves the stack only by closing.
 
-    Four more rules drop prefixes that no crossing-free arrangement
-    extends, so they change nothing that is yielded. In (a) to (c), let v
-    be the vertex just placed and t the stack entry left directly under it.
+    Two more rules drop prefixes that no crossing-free arrangement
+    extends, so they change nothing that is yielded. Other such prefixes
+    are pushed and die a few levels later, when no candidate fits the
+    stack.
 
-    (a) Stack contiguity: for each unplaced neighbour w of v, the placed
-        neighbours of w other than v must be the top of the stack under v.
-        An entry s between two of them leaves the stack only by closing,
-        when a vertex whose placed neighbours run from the top down to s
-        is placed; every one of them above s must then close, but w's
-        higher neighbour is among them and stays open while w is unplaced.
-    (b) One vertex per gap: at most one unplaced neighbour of v is also
-        adjacent to t. For two, x placed before y, the edges t-x and v-y
-        would cross.
-    (c) Edge count: a graph with a crossing-free arrangement has a
+    Edge-count rule: a graph with a crossing-free arrangement has a
         one-page book embedding, so it is outerplanar (Bernhart & Kainen,
         "The book thickness of a graph", JCTB 27, 1979) and has at most
         2n - 3 edges when n >= 2. A denser graph yields nothing.
-    (d) Pockets: while the stack is non-empty, with t on top, a vertex v
-        with no placed neighbour may be placed only if some unplaced
-        neighbour b of t cuts v off from every placed vertex, i.e. v's
-        component of G - b holds no placed vertex (b != v, as v has no
-        placed neighbour). Take b to be the neighbour of t placed first
-        after t. The vertices placed after t are closed, so (t, b) is the
-        innermost edge over the gap in front of v. A vertex x from v up to
-        b with a neighbour y outside that range is impossible: y left of
-        t, or right of b, makes x-y cross (t, b); y = t makes x a
+    Pocket rule: while the stack is non-empty, with t on top, a
+        vertex v with no placed neighbour may be placed only if some
+        unplaced neighbour b of t cuts v off from every placed vertex,
+        i.e. v's component of G - b holds no placed vertex (b != v, as v
+        has no placed neighbour). Take b to be the neighbour of t placed
+        first after t. The vertices placed after t are closed, so (t, b)
+        is the innermost edge over the gap in front of v. A vertex x from
+        v up to b with a neighbour y outside that range is impossible: y
+        left of t, or right of b, makes x-y cross (t, b); y = t makes x a
         neighbour of t placed before b; y placed after t is closed, yet x
         is unplaced. So v's component of G - b lies in the unplaced range
         from v to b. In a 2-connected graph G - b is connected and holds
@@ -350,18 +344,19 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
         neighbour; the components of each G - b are built on first use.
 
     Cost is the running sum of prefix cuts. When `bounded`, the subset
-    DP's exact cost-to-go togo[S] = ahead[V - S] is built (after rule (c),
-    so a graph it rejects builds no tables), and a prefix is dropped when
-    its cost plus togo exceeds the best cost yielded so far. A prefix
-    whose bound equals that incumbent is not expanded but deferred: its
-    parent level, with only that candidate left to try, and a copy of the
-    positions go on a list of resume points, which a leaf that lowers the
-    incumbent empties. Leaves that tie are yielded at once. When the
-    depth-first pass ends, the incumbent is the optimum, so the surviving
-    resume points are exactly the deferred prefixes whose bound equals it;
-    they are expanded with ties allowed. No prefix is thus expanded on a
-    tie that later proves non-optimal, and every optimum is yielded.
-    Unbounded, the stream holds every crossing-free arrangement.
+    DP's exact cost-to-go togo[S] = ahead[V - S] is built (after the
+    edge-count rule, so a graph it rejects builds no tables), and a
+    prefix is dropped when its cost plus togo exceeds the best cost
+    yielded so far. A prefix whose bound equals that incumbent is not
+    expanded but deferred: its parent level, with only that candidate
+    left to try, and a copy of the positions go on a list of resume
+    points, which a leaf that lowers the incumbent empties. Leaves that
+    tie are yielded at once. When the depth-first pass ends, the
+    incumbent is the optimum, so the surviving resume points are exactly
+    the deferred prefixes whose bound equals it; they are expanded with
+    ties allowed. No prefix is thus expanded on a tie that later proves
+    non-optimal, and every optimum is yielded. Unbounded, the stream
+    holds every crossing-free arrangement.
 
     With `dedup_reversals`, a prefix of (n + 1) // 2 vertices is dropped
     unless it holds vertex 0 and, for odd n with vertex 0 in the middle,
@@ -394,8 +389,9 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     # position, which for odd n also needs vertex 1 placed.
     half = (n + 1) // 2 if dedup_reversals else -1
     middle = half if n & 1 else 0
-    # split[b]: the components of G - b as masks, for rule (d); each is
-    # built the first time b is a later neighbour of the top of the stack.
+    # split[b]: the components of G - b as masks, for the pocket rule;
+    # each is built the first time b is a later neighbour of the top of
+    # the stack.
     split: list[list[int] | None] = [None] * n
 
     def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -446,14 +442,7 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
                 if nbrs[stack[keep]] & free != bit:
                     keep += 1
             top = stack[:keep]
-            later = nbrs[v] & free
-            if later:
-                if keep and (later & nbrs[top[-1]]).bit_count() > 1:
-                    continue  # (b)
-                under = segs[depth - keep]
-                if any(segs[depth - keep + (nbrs[w] & placed).bit_count()] ^ under
-                       != nbrs[w] & placed for w in adj[v] if later >> w & 1):
-                    continue  # (a)
+            if nbrs[v] & free:
                 top += (v,)
             new_cut = cut + nbrs[v].bit_count() - 2 * k
             pos[v] = p = placed.bit_count() + 1
@@ -482,8 +471,8 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
                 continue
             # A vertex with a placed neighbour has an open one, so it needs
             # the top t of the stack among its neighbours. The others, free
-            # & ~reach, need a pocket by rule (d): a component of G - b,
-            # for an unplaced neighbour b of t, with no placed vertex.
+            # & ~reach, need a pocket: a component of G - b, for an
+            # unplaced neighbour b of t, with no placed vertex.
             t = stack[-1]
             m = nbrs[t] & free
             if free & ~reach:

@@ -32,6 +32,7 @@ import linarr.graph
 from linarr.graph import (
     _all_graph_reps,
     _canonical_order,
+    _iso_key,
     _maximum_independent_sets,
     _min_key,
     _refined_colours,
@@ -191,6 +192,19 @@ class TestIsomorphism:
                     assert are_isomorphic(g, h)
                     assert canonical_form(h) == g
 
+    def test_iso_key_is_a_complete_invariant_on_every_class(self):
+        # Enumeration keys by canonical bits alone, so only this test and
+        # `are_isomorphic` exercise `_iso_key`: it must tell apart every two
+        # classes of order <= 8 (the order-8 list is cached, and other tests
+        # in this module reuse it) and survive a relabelling of every
+        # order-7 class.
+        for n in range(9):
+            reps = _all_graph_reps(n)
+            assert len({_iso_key(g) for g in reps}) == len(reps), n
+        rng = random.Random(17)
+        for g in _all_graph_reps(7):
+            assert _iso_key(relabeled(g, rng)) == _iso_key(g)
+
     def test_regular_graphs_with_equal_colourings(self):
         # Colour refinement leaves every regular graph one colour class, so
         # only the search over orderings can tell these apart.
@@ -254,16 +268,16 @@ class TestEnumeration:
         # extensions to key; without them all 2^(n-1) extensions of every
         # representative of order n - 1 were keyed (11,290 up to order 7).
         keyed = [0] * 8
-        iso_key = linarr.graph._iso_key
+        canonical_order = linarr.graph._canonical_order
 
         def counting(g):
             keyed[g.order] += 1
-            return iso_key(g)
+            return canonical_order(g)
 
         # Each level is rebuilt uncached from the cached level below it, so
         # the order-8 enumeration other tests share stays in the cache.
         _all_graph_reps(6)
-        monkeypatch.setattr(linarr.graph, "_iso_key", counting)
+        monkeypatch.setattr(linarr.graph, "_canonical_order", counting)
         for n in range(1, 8):
             _all_graph_reps.__wrapped__(n)
         assert keyed[1:] == [1, 2, 4, 11, 42, 221, 1808]
@@ -286,14 +300,14 @@ class TestEnumeration:
         # Only outerplanar extensions of outerplanar representatives are
         # keyed: 665 up to order 7, against 2,089 for the full enumeration.
         keyed = [0] * 9
-        iso_key = linarr.graph._iso_key
+        canonical_order = linarr.graph._canonical_order
 
         def counting(g):
             keyed[g.order] += 1
-            return iso_key(g)
+            return canonical_order(g)
 
         _all_graph_reps(7, True)
-        monkeypatch.setattr(linarr.graph, "_iso_key", counting)
+        monkeypatch.setattr(linarr.graph, "_canonical_order", counting)
         for n in range(1, 9):
             _all_graph_reps.__wrapped__(n, True)
         assert keyed[1:] == [1, 2, 4, 10, 32, 122, 494, 2034]

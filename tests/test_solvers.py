@@ -71,12 +71,14 @@ PLANAR_ORDER7_SHA256 = "d39b322734b7c7bf18a811cf91096a478323ce28c381572a92f0f631
 PLANAR_WITNESSES_ORDER7_SHA256 = (
     "b4786812978ea418f0041e9dd61bc628b48ca01ce435ddf009294bc6d75e7ff3")
 
-# Order-8 graphs whose searches reach prefixes that the stack-contiguity,
-# one-vertex-per-gap and pocket rules drop. The K2,3 subdivision keeps the
-# 4-cycle 0-2-1-3 and subdivides the path through 4. The last four have cut
-# vertices, so the pocket rule must admit some vertices without a placed
-# neighbour and drop others: pendants on a 4-cycle, two 4-cycles sharing
-# vertex 3 with a pendant on it, a tree, and three components.
+# Order-8 graphs whose searches push prefixes that no crossing-free
+# arrangement extends and drop them only levels later, when no candidate
+# fits the stack: all six connected ones do, and every prefix pushed for
+# the K2,3 subdivision is such. That graph keeps the 4-cycle 0-2-1-3 and
+# subdivides the path through 4. The last four have cut vertices, so the
+# pocket rule must admit some vertices without a placed neighbour and drop
+# others: pendants on a 4-cycle, two 4-cycles sharing vertex 3 with a
+# pendant on it, a tree, and three components.
 ORDER8_RULE_GRAPHS = {
     "C8-chords": cycle_graph(8).edges | {(0, 4), (1, 3)},
     "C5-3pendants": cycle_graph(5).edges | {(0, 5), (1, 6), (2, 7)},
