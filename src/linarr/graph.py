@@ -6,22 +6,24 @@ enumeration of connected graphs up to isomorphism, and linear-time
 outerplanarity recognition.
 
 Isomorphism rests on one backtracking search for the minimum adjacency key
-over vertex orderings. Unrestricted, it gives the canonical form, and
-enumeration keys every extension it builds by that form alone. Restricted
-to orderings that follow a colour refinement of the graph, it gives a
-complete invariant that is much cheaper to compute on larger graphs, and
-`are_isomorphic` compares these invariants. The search is
-set-first: a minimum key starts with a maximum independent set of the
-lowest colour class, whose rows are zero in any order, so the search
-places each such set at once as one unordered cell and orders it lazily,
-splitting it by each later vertex's neighbours (`_min_key` gives the
-proofs). Enumeration adds one vertex to each smaller representative and,
-before keying, skips the extensions that twin cells or a minimum-degree
-argument show to be covered by another extension. The same engine can keep
-only outerplanar graphs, extending outerplanar representatives alone; that
-stream feeds the gap search. Everything here is exact; enumeration of all
-graphs is intended for orders up to 8 (12,346 classes), of outerplanar
-ones up to 9 (5,291 classes).
+over vertex orderings. Unrestricted, it gives the canonical key, whose bits
+spell the canonical form's adjacency row by row: the search returns the key
+alone, enumeration keys every extension it builds by it and stores each
+class as its key, and a key decodes into the canonical form
+(`_graph_from_key`). Restricted to orderings that follow a colour
+refinement of the graph, it gives a complete invariant that is much
+cheaper to compute on larger graphs, and `are_isomorphic` compares these
+invariants. The search is set-first: a minimum key starts with a maximum
+independent set of the lowest colour class, whose rows are zero in any
+order, so the search places each such set at once as one unordered cell
+and orders it lazily, splitting it by each later vertex's neighbours
+(`_min_key` gives the proofs). Enumeration adds one vertex to each smaller
+representative and, before keying, skips the extensions that twin cells or
+a minimum-degree argument show to be covered by another extension. The
+same engine can keep only outerplanar graphs, extending outerplanar
+representatives alone; that stream feeds the gap search. Everything here
+is exact; enumeration of all graphs is intended for orders up to 8 (12,346
+classes), of outerplanar ones up to 9 (5,291 classes).
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ def _twin_cells(adj: Sequence[int]) -> list[list[int]]:
     return [_bits_of(mask) for mask in dict.fromkeys(_twin_masks(adj))]
 
 
-def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+def _min_key(g: Graph, colour: Sequence[int]) -> int:
     """Minimum prefix-bits key over the vertex orderings that list vertices
-    by ascending colour; returns (bits, an ordering achieving them).
+    by ascending colour. The key spells the graph relabelled onto a
+    minimising ordering (`_graph_from_key`), so no ordering is kept.
 
     The search is set-first. Let C0 be the lowest colour class (all vertices
     for the canonical key) and alpha the size of a maximum independent set
@@ -228,7 +231,7 @@ def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """
     n = g.order
     if n == 0:
-        return 0, ()
+        return 0
     adj = g.neighbor_masks
     twins = _twin_masks(adj)
     # Unplaced vertices stay sorted by (colour, vertex), so the candidates
@@ -239,19 +242,16 @@ def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     ends = [bisect_right(level_colour, c) for c in level_colour]
     total_bits = n * (n - 1) // 2
     best_bits = 1 << total_bits
-    best: tuple[list[int], tuple[int, ...]] = ([], ())
-    order: list[int] = []
 
     def rec(cells: list[int], unplaced: list[int], bits: list[int], prefix: int) -> None:
-        # cells: the ordered cells of I while one holds two vertices, else
-        # empty with I at the front of `order`. bits[i]: unplaced[i]'s least
-        # row against the placed vertices, first-placed as the most
+        # cells: the ordered cells of I, emptied once each holds one vertex
+        # (a one-vertex I after the first placement). bits[i]: unplaced[i]'s
+        # least row against the placed vertices, first-placed as the most
         # significant bit.
-        nonlocal best_bits, best
+        nonlocal best_bits
         level = n - len(unplaced)
         if level == n:
-            if prefix < best_bits:
-                best_bits, best = prefix, (cells, tuple(order))
+            best_bits = min(best_bits, prefix)
             return
         k = ends[level] - level
         low = min(bits[:k])
@@ -268,45 +268,31 @@ def _min_key(g: Graph, colour: Sequence[int]) -> tuple[int, tuple[int, ...]]:
             rest = unplaced[:i] + unplaced[i + 1:]
             rest_bits = [(b << 1) | (av >> u & 1) for u, b in zip(unplaced, bits)]
             del rest_bits[i]
-            order.append(v)
             if not cells:
                 rec(cells, rest, rest_bits, prefix)
-            else:
-                split = [part for c in cells for part in (c & ~av, c & av) if part]
-                if len(split) > len(cells):
-                    # v split a cell, so the rows against I change: rebuild
-                    # them in front of the rows against the later vertices.
-                    tail = len(order)
-                    after = (1 << tail) - 1
-                    rest_bits = [_cells_row(adj[u], split) << tail | b & after
-                                 for u, b in zip(rest, rest_bits)]
-                if len(split) < alpha:
-                    rec(split, rest, rest_bits, prefix)
-                else:
-                    # Every cell is one vertex: the order of I is fixed.
-                    order[:0] = [c.bit_length() - 1 for c in split]
-                    rec([], rest, rest_bits, prefix)
-                    del order[:alpha]
-            order.pop()
+                continue
+            split = [part for c in cells for part in (c & ~av, c & av) if part]
+            if len(split) > len(cells):
+                # v split a cell, so the rows against I change: rebuild
+                # them in front of the rows against the tail, the vertices
+                # placed after I.
+                tail = n - len(rest) - alpha
+                after = (1 << tail) - 1
+                rest_bits = [_cells_row(adj[u], split) << tail | b & after
+                             for u, b in zip(rest, rest_bits)]
+            # Once every cell is one vertex, the order of I is fixed.
+            rec(split if len(split) < alpha else [], rest, rest_bits, prefix)
 
     first = 0
     for v in start[:ends[0]]:
         first |= 1 << v
     sets = _maximum_independent_sets(adj, first, twins)
     alpha = sets[0].bit_count()
-    if alpha == 1:
-        # C0 is a clique: each I is one vertex, and the first level tries
-        # them as it tries any candidates.
-        rec([], start, [0] * n, 0)
-    else:
-        for independent in sets:
-            rest = [v for v in start if not independent >> v & 1]
-            rec([independent], rest,
-                [(1 << (adj[u] & independent).bit_count()) - 1 for u in rest], 0)
-    cells, placed = best
-    for c in reversed(cells):
-        placed = (*_bits_of(c), *placed)
-    return best_bits, placed
+    for independent in sets:
+        rest = [v for v in start if not independent >> v & 1]
+        rec([independent], rest,
+            [(1 << (adj[u] & independent).bit_count()) - 1 for u in rest], 0)
+    return best_bits
 
 
 def _cells_row(mask: int, cells: Sequence[int]) -> int:
@@ -324,19 +310,11 @@ def _maximum_independent_sets(adj: Sequence[int], free: int,
     bitmasks, that meet each twin cell (`twins[v]`, the mask of v's cell)
     in its lowest vertices.
 
-    An independent `free` is its own only maximum set. Otherwise branches
-    on the lowest free vertex: take it, or drop it together with the rest
-    of its twin cell, and cuts a branch that cannot reach the largest size
-    found so far.
+    Branches on the lowest free vertex: take it, or drop it together with
+    the rest of its twin cell, and cuts a branch that cannot reach the
+    largest size found so far. Taking is tried first, so an independent
+    `free` is found at once and the bound cuts every dropping branch.
     """
-    rest = free
-    while rest:
-        bit = rest & -rest
-        if adj[bit.bit_length() - 1] & free:
-            break
-        rest ^= bit
-    else:
-        return [free]
     found: list[int] = []
     best = 0
     stack = [(0, free)]
@@ -362,9 +340,19 @@ def _bits_of(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Return (canonical bits, vertex ordering achieving them)."""
+def _canonical_key(g: Graph) -> int:
+    """The canonical bits: the minimum key over all vertex orderings."""
     return _min_key(g, [0] * g.order)
+
+
+def _graph_from_key(order: int, key: int) -> Graph:
+    """Decode a key of `_min_key`: the graph on the ordering it was read
+    under. Read from the most significant end, bit i(i-1)/2 + j is the
+    edge (j, i), for j < i."""
+    top = order * (order - 1) // 2 - 1
+    return Graph(order, frozenset(
+        (j, i) for i in range(1, order) for j in range(i)
+        if key >> (top - i * (i - 1) // 2 - j) & 1))
 
 
 def _refined_colours(g: Graph) -> list[int]:
@@ -399,14 +387,12 @@ def _iso_key(g: Graph) -> tuple[tuple[int, ...], int]:
     graphs. The colour cells are small, so the search is cheap.
     """
     colour = _refined_colours(g)
-    return tuple(sorted(colour)), _min_key(g, colour)[0]
+    return tuple(sorted(colour)), _min_key(g, colour)
 
 
 def canonical_form(g: Graph) -> Graph:
     """Relabel g onto its canonical vertex ordering; equal across isomorphs."""
-    _, order = _canonical_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    return Graph(g.order, frozenset((pos[u], pos[v]) for u, v in g.edges))
+    return _graph_from_key(g.order, _canonical_key(g))
 
 
 @lru_cache(maxsize=None)
@@ -435,18 +421,19 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     representative, and rule (i)'s P+σ(S) ≅ P+S is outerplanar iff P+S is.
 
     Every surviving extension is keyed by its canonical bits
-    (`_canonical_order`), a complete invariant, and the first of each
-    class is relabelled onto its canonical ordering. A representative
-    depends only on its canonical bits, so the rules change the work, not
-    the output: the outerplanar representatives are exactly the
-    outerplanar members of the full list, in the same order.
+    (`_canonical_key`), a complete invariant. Classes are stored as these
+    keys alone and decoded (`_graph_from_key`) once all are known, sorted
+    by edge count, the key's popcount, then key. A representative depends
+    only on its canonical bits, so the rules change the work, not the
+    output: the outerplanar representatives are exactly the outerplanar
+    members of the full list, in the same order.
     """
     if order == 0:
         return (Graph(0),)
     # lru_cache keys (n,) and (n, False) apart: call as the callers do, so
     # the levels they cache are reused.
     parents = _all_graph_reps(order - 1, True) if outerplanar else _all_graph_reps(order - 1)
-    reps: dict[int, Graph] = {}
+    keys: set[int] = set()
     new = order - 1
     for parent in parents:
         adj = parent.neighbor_masks
@@ -462,12 +449,9 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
             g = Graph(order, parent.edges | extra)
             if outerplanar and not is_outerplanar(g):
                 continue
-            bits, vertex_order = _canonical_order(g)
-            if bits in reps:
-                continue
-            pos = {v: i for i, v in enumerate(vertex_order)}
-            reps[bits] = Graph(order, frozenset((pos[u], pos[v]) for u, v in g.edges))
-    return tuple(g for _, g in sorted(reps.items(), key=lambda kv: (len(kv[1].edges), kv[0])))
+            keys.add(_canonical_key(g))
+    return tuple(_graph_from_key(order, key)
+                 for key in sorted(keys, key=lambda key: (key.bit_count(), key)))
 
 
 def enumerate_connected_graphs(order: int) -> Iterator[Graph]:

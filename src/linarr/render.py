@@ -23,7 +23,6 @@ def _spine(g: Graph, arr: Arrangement, labels: Sequence[str] | None):
     labels = tuple(labels) if labels is not None else default_labels(g)
     if len(labels) != g.order:
         raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")
-    order = arr.vertex_order()
     pos = arr.positions
     # Arcs as (left position, right position, left label, right label).
     arcs = []
@@ -33,7 +32,7 @@ def _spine(g: Graph, arr: Arrangement, labels: Sequence[str] | None):
             u, v, pu, pv = v, u, pv, pu
         arcs.append((pu, pv, labels[u], labels[v]))
     arcs.sort()
-    return order, [labels[v] for v in order], arcs
+    return [labels[v] for v in arr.vertex_order()], arcs
 
 
 def _quote(s: str) -> str:
@@ -119,7 +118,7 @@ def _escape(s: str) -> str:
 def emit_arc_diagram(g: Graph, arr: Arrangement, format: str,
                      labels: Sequence[str] | None = None) -> str:
     """Render the arrangement as an arc diagram in DOT, TikZ or SVG."""
-    order, spine_labels, arcs = _spine(g, arr, labels)
+    spine_labels, arcs = _spine(g, arr, labels)
     if format == "dot":
         return _emit_dot(spine_labels, arcs)
     if format == "tikz":

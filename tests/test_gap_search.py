@@ -72,6 +72,15 @@ class TestComputeGap:
             assert cost(g, report.planar_witness) == report.planar_opt
             assert is_planar_arrangement(g, report.planar_witness)
 
+    def test_squared_path_gap(self):
+        # The squared path P_n², with edges i-(i+1) and i-(i+2), is maximal
+        # outerplanar, and its gap grows quadratically in n.
+        for n in range(4, 18):
+            g = make_graph(n, [(i, i + d) for d in (1, 2) for i in range(n - d)])
+            report = compute_gap(g)
+            assert report.minla_opt == 3 * n - 5, n
+            assert report.gap == (n - 2) ** 2 // 4, n
+
 
 class TestSearch:
     def test_order_three_finds_nothing(self):
