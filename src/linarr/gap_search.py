@@ -16,7 +16,7 @@ from typing import Iterator
 from .arrangement import Arrangement
 from .errors import ValidationError
 from .graph import Graph, enumerate_connected_outerplanar_graphs
-from .solvers import MAX_ORDER_SEARCH, solve_minla_dp, solve_planar_minla
+from .solvers import MAX_ORDER_SEARCH, _twin_sorted_optima, solve_minla_dp
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,22 @@ def compute_gap(g: Graph) -> GapReport:
     A graph has a crossing-free arrangement iff it is outerplanar (Bernhart
     & Kainen 1979), and the crossing-free solver answers None, after its
     linear-time outerplanarity test and before any search, exactly when it
-    is not; so that answer is the report's `outerplanar` flag.
+    is not; so that answer is the report's `outerplanar` flag. The
+    crossing-free optima are not listed: the smallest is the least
+    twin-sorted one, so a graph with too many optima for
+    `solve_planar_minla`, such as a 12-vertex star, is answered too.
     """
     minla = solve_minla_dp(g)
-    planar = solve_planar_minla(g, dedup_reversals=True)
+    planar = _twin_sorted_optima(g, dedup_reversals=True)
     outerplanar = planar is not None
     if planar is None:
         planar_opt = None
         gap = None
         planar_witness = None
     else:
-        planar_opt = planar.optimal_cost
+        planar_opt, optima, _, _ = planar
         gap = planar_opt - minla.optimal_cost
-        planar_witness = planar.best
+        planar_witness = Arrangement._trusted(min(optima))
     return GapReport(
         graph=g,
         minla_opt=minla.optimal_cost,

@@ -22,10 +22,15 @@ it is placed. The solver also drops prefixes by the subset DP's exact
 cost-to-go, expands a prefix that only ties the best cost once the
 optimum is known, and it answers a graph that is not outerplanar, which
 has no crossing-free arrangement, with None from the linear-time
-outerplanarity test before it builds any table. Each solver has a maximum
-order (`MAX_ORDER_*`) above which it raises ValidationError instead of
-running for hours; the crossing-free solver builds the subset DP's tables
-and shares its limit.
+outerplanarity test before it builds any table. Twins, vertices with the
+same neighbours apart from each other, can swap without changing cost or
+crossings, so the solver searches one twin-sorted optimum per orbit of
+such swaps and expands the orbits only when it lists the witnesses;
+`compute_gap` needs only the smallest optimum and never expands them.
+Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
+ValidationError instead of running for hours; the crossing-free solver
+builds the subset DP's tables and shares its limit, and it refuses to list
+more than MAX_PLANAR_WITNESSES optima.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
 from .errors import ValidationError
-from .graph import Edge, Graph, is_outerplanar, normalize_edge
+from .graph import Edge, Graph, _twin_masks, is_outerplanar, normalize_edge
 
 SOLVER_EXHAUSTIVE = "exhaustive"
 SOLVER_BNB = "branch-and-bound"
@@ -62,6 +68,14 @@ MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
 MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
+# Most optima the crossing-free solver lists. The count is known before any
+# witness is built, so a graph above it is refused at once. The 10-star's
+# 362,880 optima up to reversal take 1.6 s and 167 MB of peak RSS as one
+# `planar-minla --json` request on one Xeon core under CPython 3.11, and as
+# many on 12 vertices with 3-letter labels 2.0 s and 199 MB; so a request
+# under the cap stays within about 300 MB and 3 s. The 11-star has
+# 1,814,400 optima up to reversal and the 12-star 39,916,800.
+MAX_PLANAR_WITNESSES = 500_000
 
 
 @dataclass(frozen=True)
@@ -74,10 +88,13 @@ class SolveResult:
     member. For the enumerating solvers, `explored` counts the complete
     arrangements whose cost was evaluated, which makes pruned and unpruned
     solvers directly comparable; for the subset DP it counts the subset
-    states evaluated, 2**n. The crossing-free solver drops the larger
-    member of each mirror pair inside its search, so its `explored` is
-    smaller with `deduped_reversals`; the other solvers count the same in
-    both modes.
+    states evaluated, 2**n. The crossing-free solver reaches only the
+    twin-sorted optima, one per orbit of twin swaps, and expands them into
+    the witnesses afterwards, so its `explored` counts the twin-sorted
+    complete arrangements reached and may be far below the number of
+    witnesses. It drops the larger member of each mirror pair inside its
+    search, so its `explored` is smaller with `deduped_reversals`; the
+    other solvers count the same in both modes.
     """
 
     optimal_cost: int
@@ -303,8 +320,8 @@ def _components(nbrs: tuple[int, ...], within: int) -> list[int]:
     return pieces
 
 
-def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool = False
-                          ) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool = False,
+                          cells: Sequence[int] = ()) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first prefix search over crossing-free arrangements.
 
     Vertices are placed left to right, each position trying the unplaced
@@ -366,6 +383,24 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     closed under reversal, so the bounded search still finds the optimum
     and yields the smaller member of every optimal pair.
 
+    Twin rule: `cells` are disjoint vertex masks, each of twins
+    (`_twin_masks`) and none holding vertex 0 or 1, and a member of a
+    cell is placed only after every lower member of its cell. So the
+    search yields only twin-sorted arrangements, in which each cell's
+    members stand in ascending order left to right. Swapping two twins
+    keeps the set of edge intervals, so cost and crossings too: the
+    crossing-free arrangements and the optima are closed under any
+    permutation inside a cell, and each orbit of those permutations holds
+    exactly one twin-sorted member, its lexicographically smallest. Every
+    prefix of a twin-sorted arrangement is twin-sorted, so the bound, the
+    tie deferral and the pocket rule stay exact on the restricted search,
+    and it reaches the optimum. The permutations fix the positions of
+    vertices 0 and 1, which are all the mirror break reads, so the break
+    keeps or drops whole orbits. The rule is checked on each candidate
+    next to the bound, so the unbounded stream, which passes no cells,
+    never tests it; callers expand each yielded arrangement into its
+    orbit.
+
     The search runs in one generator frame over an explicit stack of
     levels, one per placed prefix. A level holds the candidates still to
     try as a mask (tried lowest bit first), the placed set, the prefix's
@@ -383,7 +418,7 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
         return iter(())
     togo = _subset_tables(g)[1][::-1] if bounded else None
     nbrs = g.neighbor_masks
-    adj = [[w for w in range(n) if mask >> w & 1] for mask in nbrs]
+    adj = g.neighbors
     full = (1 << n) - 1
     # The mirror break's prefix size (-1: no break), and the middle
     # position, which for odd n also needs vertex 1 placed.
@@ -393,6 +428,12 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     # each is built the first time b is a later neighbour of the top of
     # the stack.
     split: list[list[int] | None] = [None] * n
+    # lower[v]: the members of v's twin cell below v, for the twin rule.
+    lower = [0] * n
+    for c in cells:
+        for v in range(n):
+            if c >> v & 1:
+                lower[v] = c & ((1 << v) - 1)
 
     def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
         if not full:
@@ -424,6 +465,8 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
             k = nb.bit_count()
             s = placed | bit
             if togo is not None:
+                if lower[v] & free:
+                    continue  # the twin rule
                 bound = spent + togo[s]
                 if bound >= incumbent:
                     if bound > incumbent:
@@ -488,43 +531,113 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     return walk()
 
 
+def _twin_sorted_optima(g: Graph, dedup_reversals: bool
+                        ) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
+    """The crossing-free optimum up to twin swaps, or None if g has none.
+
+    Returns (optimum, the twin-sorted optima as position tuples, explored,
+    the twin cells the search was restricted by). Each optimum stands for
+    its orbit under the permutations inside the cells; the orbit's smallest
+    member is the twin-sorted one, so the smallest optimum is the least of
+    them. Checks the order limit, and answers a graph that is not
+    outerplanar before any table is built.
+    """
+    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
+    if not is_outerplanar(g):
+        return None
+    cells = [c for c in dict.fromkeys(m & ~3 for m in _twin_masks(g.neighbor_masks))
+             if c.bit_count() > 1]
+    incumbent: int | None = None
+    optima: list[tuple[int, ...]] = []
+    explored = 0
+    for c, positions in _crossing_free_search(g, True, dedup_reversals, cells):
+        explored += 1
+        if incumbent is None or c < incumbent:
+            incumbent = c
+            optima = []
+        optima.append(positions)
+    if incumbent is None:
+        return None
+    return incumbent, optima, explored, cells
+
+
+def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int], total: int
+                   ) -> list[tuple[int, ...]]:
+    """Every permutation inside the cells of every twin-sorted optimum,
+    `total` position tuples in all, in no particular order.
+
+    The list is allocated once and expanded in place, one cell at a time:
+    entry i becomes entries i * k! .. (i + 1) * k! - 1, filled from the
+    last entry down so that no entry is overwritten before it is read.
+    """
+    out: list = [None] * total
+    out[:len(optima)] = optima
+    count = len(optima)
+    n = len(optima[0])
+    for cell in cells:
+        members = [v for v in range(n) if cell >> v & 1]
+        rest = [v for v in range(n) if not cell >> v & 1]
+        # A witness is put(fixed + perm): fixed holds the positions of the
+        # vertices outside the cell, perm those of the members in order.
+        at = {v: i for i, v in enumerate(rest + members)}
+        take, slots = itemgetter(*rest), itemgetter(*members)
+        put = itemgetter(*map(at.get, range(n)))
+        width = math.factorial(len(members))
+        for i in range(count - 1, -1, -1):
+            p = out[i]
+            fixed = take(p)
+            j = i * width
+            for perm in permutations(slots(p)):
+                out[j] = put(fixed + perm)
+                j += 1
+        count *= width
+    return out
+
+
 def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult | None:
     """Minimize total edge length over crossing-free arrangements only.
 
     Returns None when the graph admits no crossing-free arrangement. The
     witness set contains every crossing-free optimum, or with
     `dedup_reversals` the smaller member of each mirror pair of them, so it
-    doubles as the planar-optima enumerator. The search yields only those:
-    it defers prefixes that tie the incumbent until the optimum is known,
-    and with `dedup_reversals` it drops the larger half of the mirror pairs
-    itself. `explored` counts the complete arrangements the pruned search
-    reaches, so it is smaller with `dedup_reversals`. The search is pruned
-    by the subset DP's tables, so it shares that solver's order limit. A
-    graph has a crossing-free arrangement iff it is outerplanar, so every
-    other graph gets None from the linear-time `is_outerplanar` before any
-    table is built or any prefix searched.
+    doubles as the planar-optima enumerator. The search yields only those,
+    and of them only the twin-sorted ones: it defers prefixes that tie the
+    incumbent until the optimum is known, with `dedup_reversals` it drops
+    the larger half of the mirror pairs itself, and it places twins
+    (vertices with the same neighbours apart from each other, vertices 0
+    and 1 excepted) in ascending order only. Each twin-sorted optimum is
+    then expanded into every permutation inside its twin cells. `explored`
+    counts the twin-sorted complete arrangements the pruned search
+    reaches, so it is smaller with `dedup_reversals`. More than
+    MAX_PLANAR_WITNESSES witnesses raise ValidationError before any is
+    built; `compute_gap` needs only the smallest and answers such graphs.
+    The search is pruned by the subset DP's tables, so it shares that
+    solver's order limit. A graph has a crossing-free arrangement iff it is
+    outerplanar, so every other graph gets None from the linear-time
+    `is_outerplanar` before any table is built or any prefix searched.
     """
-    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
-    if not is_outerplanar(g):
+    found = _twin_sorted_optima(g, dedup_reversals)
+    if found is None:
         return None
-    incumbent: int | None = None
-    witnesses: list[tuple[int, ...]] = []
-    explored = 0
-    for c, positions in _crossing_free_search(g, bounded=True, dedup_reversals=dedup_reversals):
-        explored += 1
-        if incumbent is None or c < incumbent:
-            incumbent = c
-            witnesses = []
-        witnesses.append(positions)
-    if incumbent is None:
-        return None
+    optimum, optima, explored, cells = found
+    total = len(optima)
+    for cell in cells:
+        total *= math.factorial(cell.bit_count())
+    if total > MAX_PLANAR_WITNESSES:
+        raise ValidationError(
+            f"the {SOLVER_PLANAR} solver lists at most {MAX_PLANAR_WITNESSES:,} optimal "
+            f"arrangements, and this graph has {total:,}; `gap` reports the optimum "
+            "and the smallest of them"
+        )
+    witnesses = _expand_orbits(optima, cells, total) if cells else optima
     witnesses.sort()
-    return SolveResult(incumbent, tuple(map(Arrangement._trusted, witnesses)), explored,
+    return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored,
                        SOLVER_PLANAR, dedup_reversals)
 
 
 def enumerate_planar_optima(g: Graph) -> list[Arrangement] | None:
-    """All crossing-free optima, deduplicated up to reversal; None if none exist."""
+    """All crossing-free optima, deduplicated up to reversal; None if none
+    exist. More than MAX_PLANAR_WITNESSES raise ValidationError."""
     result = solve_planar_minla(g, dedup_reversals=True)
     if result is None:
         return None

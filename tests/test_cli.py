@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,13 @@ import pytest
 import linarr
 import linarr.cli as cli
 from linarr import emit_arc_diagram, parse_arrangement, parse_graph, run_cli
-from linarr.solvers import MAX_ORDER_BNB, MAX_ORDER_CLAIMS, MAX_ORDER_DP, MAX_ORDER_SEARCH
+from linarr.solvers import (
+    MAX_ORDER_BNB,
+    MAX_ORDER_CLAIMS,
+    MAX_ORDER_DP,
+    MAX_ORDER_SEARCH,
+    MAX_PLANAR_WITNESSES,
+)
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
 
@@ -57,10 +65,14 @@ SEARCH_ORDER8_SHA256 = "49f3f8f498973ee6a0702fabff9a39bf802dfe9a74689e748bb79a4f
 # A star with centre a and leaves b..i: 20,160 crossing-free optima up to
 # reversal, every one emitted as a witness.
 STAR9_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghi")
+STAR12_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghijkl")
 # sha256 of `linarr planar-minla <star> --json` stdout. Retaken when the
 # search began to defer tied prefixes and to break mirror symmetry itself:
 # the output differs from the one before only in "explored", 86520 -> 20164.
-STAR9_PLANAR_SHA256 = "4bbd57f8ea4930c65497337f9d91dd0cf976701488970f5efae2a64cdc2fd756"
+# Retaken again when the search began to place twins in ascending order
+# only and the witnesses were expanded from those: the output differs from
+# the one before only in "explored", 20164 -> 8.
+STAR9_PLANAR_SHA256 = "335ffede8b9e3989b3bb7cc7a50ce1cf8dd2fe7ed2e01e885b743ddea6f00f8c"
 
 
 @pytest.fixture
@@ -81,6 +93,17 @@ class TestGap:
         code, out, _ = run(capsys, "gap", pentagon_file, "--json")
         assert code == 0
         assert out == PENTAGON_GAP_JSON
+
+    def test_twelve_star(self, capsys, tmp_path):
+        # Too many crossing-free optima to list (TestPlanarMinla), but `gap`
+        # needs only the smallest one.
+        path = tmp_path / "star12.edges"
+        path.write_text(STAR12_TEXT)
+        code, out, _ = run(capsys, "gap", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gap"] == 0
+        assert payload["planar_witness"] == "b,c,d,e,f,a,g,h,i,j,k,l"
 
     def test_human_output(self, capsys, pentagon_file):
         code, out, _ = run(capsys, "gap", pentagon_file)
@@ -153,6 +176,25 @@ class TestPlanarMinla:
         code, _, err = run(capsys, "planar-minla", str(path))
         assert code == 1
         assert "validation error" in err
+
+    def test_too_many_witnesses_fail_fast(self, tmp_path):
+        # The 12-star has 2 * 11! crossing-free optima, 39,916,800 up to
+        # reversal. The request runs in its own interpreter with its address
+        # space capped at 1 GiB, so listing them would fail for lack of
+        # memory instead of being refused up front.
+        path = tmp_path / "star12.edges"
+        path.write_text(STAR12_TEXT)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        code, out, err = run_fresh("planar-minla", str(path), "--json", preexec_fn=cap_memory)
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert out == ""
+        assert f"lists at most {MAX_PLANAR_WITNESSES:,} optimal arrangements" in err
+        assert "39,916,800" in err
 
     def test_no_planar_arrangement(self, capsys, tmp_path):
         path = tmp_path / "k4.edges"
@@ -303,13 +345,14 @@ class TestExitCodes:
         assert "'a,b'" in err
 
 
-def run_fresh(*argv):
-    """`python -m linarr ARGV` in a new interpreter: (exit code, stdout, stderr)."""
+def run_fresh(*argv, preexec_fn=None):
+    """`python -m linarr ARGV` in a new interpreter: (exit code, stdout,
+    stderr). `preexec_fn` runs in the child before the interpreter starts."""
     src = str(Path(linarr.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "linarr", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
 
 

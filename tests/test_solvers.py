@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import time
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from linarr import (
     Graph,
     ValidationError,
     check_dominating_edge_claims,
+    compute_gap,
     cost,
     enumerate_connected_graphs,
     enumerate_connected_outerplanar_graphs,
@@ -40,12 +42,13 @@ from linarr import (
     solve_minla_exhaustive,
     solve_planar_minla,
 )
-from linarr.graph import _all_graph_reps
+from linarr.graph import _all_graph_reps, _twin_masks
 from linarr.solvers import (
     MAX_ORDER_BNB,
     MAX_ORDER_CLAIMS,
     MAX_ORDER_DP,
     MAX_ORDER_EXHAUSTIVE,
+    MAX_PLANAR_WITNESSES,
 )
 
 # sha256 over the graphs of _all_graph_reps(7) of repr([a.positions for a in
@@ -62,8 +65,11 @@ DP_ORDER7_SHA256 = "d3e2b66f467cafb74a244c81bf182cd2e1eb7861f286cd73d6b3092c5444
 # repr((optimal_cost, explored, [w.positions for w in witnesses])) per
 # solve_planar_minla result. Retaken when the search began to defer tied
 # prefixes and to drop the larger half of each mirror pair itself, which
-# lowered `explored`; the witnesses are pinned apart below.
-PLANAR_ORDER7_SHA256 = "d39b322734b7c7bf18a811cf91096a478323ce28c381572a92f0f63142ae16eb"
+# lowered `explored`; the witnesses are pinned apart below. Retaken again
+# when the search began to reach only the twin-sorted arrangements, which
+# lowered `explored` on every class with a twin cell outside vertices 0
+# and 1; the witnesses digest below did not change.
+PLANAR_ORDER7_SHA256 = "43499ce8047306dbd36b8b1c6982e30a627e12c1d23a9e31937e2d4b162de90c"
 
 # The same, of repr(None) or repr((optimal_cost, [w.positions for w in
 # witnesses])), without `explored`; taken while the search still expanded
@@ -365,13 +371,16 @@ class TestPlanarSolver:
 
     def test_nine_star_ties(self):
         # Every arrangement of a star is crossing-free; 8! = 40,320 optima
-        # put the centre in the middle, 20,160 up to reversal. The search
-        # reaches 4 leaves beyond the optima, before it has the optimum.
+        # put the centre in the middle, 20,160 up to reversal. Leaves 2..8
+        # form one twin cell, so the search reaches only arrangements that
+        # place them in ascending order: the 8 (4 up to reversal) optima
+        # that fix where leaf 1 goes, and 4 leaves beyond them, before it
+        # has the optimum. It reached 40,324 and 20,164 before the twin rule.
         star = make_graph(9, [(0, i) for i in range(1, 9)])
-        assert solve_planar_minla(star).explored == 40324
+        assert solve_planar_minla(star).explored == 12
         result = solve_planar_minla(star, dedup_reversals=True)
         assert result.optimal_cost == 20
-        assert result.explored == 20164
+        assert result.explored == 8
         assert len(result.witnesses) == 20160
         positions = [w.positions for w in result.witnesses]
         assert all(a < b for a, b in zip(positions, positions[1:]))
@@ -400,6 +409,125 @@ class TestPlanarSolver:
             for g in _all_graph_reps(n):
                 orders = [a.vertex_order() for a in iter_crossing_free(g)]
                 assert all(a < b for a, b in zip(orders, orders[1:]))
+
+
+def _restricting_cells(g: Graph) -> list[int]:
+    """The twin cells, vertices 0 and 1 left out, that restrict g's search."""
+    return [c for c in set(m & ~3 for m in _twin_masks(g.neighbor_masks)) if c.bit_count() > 1]
+
+
+def _assert_matches(g: Graph, best: int, optima: set[tuple[int, ...]]) -> None:
+    """Both modes of solve_planar_minla list exactly `optima`, sorted."""
+    mirror = (g.order + 1).__sub__
+    result = solve_planar_minla(g)
+    assert result.optimal_cost == best
+    assert [a.positions for a in result.witnesses] == sorted(optima)
+    result = solve_planar_minla(g, dedup_reversals=True)
+    assert result.optimal_cost == best
+    assert [a.positions for a in result.witnesses] == sorted(
+        {min(p, tuple(map(mirror, p))) for p in optima})
+
+
+# Twin-rich graphs of order 9-12: double stars, caterpillars, a binary
+# tree, pendant twins on cycles and a windmill, whose triangles make
+# adjacent twins. Some twin cells hold vertex 0 or 1, and some interleave
+# in vertex index.
+TWIN_RICH_GRAPHS = {
+    "double star, interleaved leaves": (9, [(0, 1)] + [(i % 2, i) for i in range(2, 9)]),
+    "double star, leaves 0 and 1": (9, [(7, 8)] + [(7, i) for i in range(3)]
+                                    + [(8, i) for i in range(3, 7)]),
+    "caterpillar": (10, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 8),
+                         (2, 9)]),
+    "bintree10": (10, [((i - 1) // 2, i) for i in range(1, 10)]),
+    "windmill": (9, [(0, i) for i in range(1, 9)] + [(1, 2), (3, 4), (5, 6), (7, 8)]),
+    "square with pendants": (11, [(i, (i + 1) % 4) for i in range(4)]
+                             + [(0, 4), (0, 5), (0, 6), (2, 7), (2, 8), (2, 9), (2, 10)]),
+    "hexagon with pendant pairs": (12, [(i, (i + 1) % 6) for i in range(6)]
+                                   + [(0, 6), (0, 7), (2, 8), (2, 9), (4, 10), (4, 11)]),
+}
+
+
+class TestTwinQuotient:
+    def test_matches_oracle_to_order_seven(self):
+        # The oracle uses no twin code. Only classes with a twin cell outside
+        # vertices 0 and 1 reach the twin rule; the search of every other
+        # class is unchanged, and PLANAR_WITNESSES_ORDER7_SHA256 pins its
+        # witnesses.
+        checked = 0
+        for k in range(8):
+            for g in _all_graph_reps(k):
+                if not _restricting_cells(g) or not is_outerplanar(g):
+                    continue
+                best, optima = oracle_planar_minla(g)
+                _assert_matches(g, best, optima)
+                checked += 1
+        assert checked == 201
+
+    @pytest.mark.parametrize("name", TWIN_RICH_GRAPHS)
+    def test_matches_stream_on_twin_rich_graphs(self, name):
+        g = make_graph(*TWIN_RICH_GRAPHS[name])
+        assert _restricting_cells(g)
+        costed = [(cost(g, a), a.positions) for a in iter_crossing_free(g)]
+        best = min(c for c, _ in costed)
+        _assert_matches(g, best, {p for c, p in costed if c == best})
+
+    @pytest.mark.parametrize("centre", [0, 4, 8])
+    def test_star_optima_put_the_centre_in_the_middle(self, centre):
+        # Every arrangement of a star is crossing-free, and the optima of
+        # odd order put the centre in the middle. With centre 4 the twin
+        # cell holds vertices 0 and 1, and with centre 8 the mirror break
+        # reads two leaves.
+        g = make_graph(9, [(centre, i) for i in range(9) if i != centre])
+        leaves = [v for v in range(9) if v != centre]
+        optima = set()
+        for spots in permutations([1, 2, 3, 4, 6, 7, 8, 9]):
+            p = [5] * 9
+            for v, x in zip(leaves, spots):
+                p[v] = x
+            optima.add(tuple(p))
+        _assert_matches(g, 20, optima)
+
+    def test_ten_star_is_answered(self):
+        # 2 * 9! optima, 362,880 up to reversal, under MAX_PLANAR_WITNESSES.
+        star = make_graph(10, [(0, i) for i in range(1, 10)])
+        result = solve_planar_minla(star, dedup_reversals=True)
+        assert result.optimal_cost == 25
+        assert result.explored == 13
+        assert len(result.witnesses) == 362880 <= MAX_PLANAR_WITNESSES
+        assert result.best.positions == (5,) + tuple(range(1, 5)) + tuple(range(6, 11))
+
+    def test_witness_cap_is_checked_before_expansion(self, monkeypatch):
+        star = make_graph(9, [(0, i) for i in range(1, 9)])
+        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20160)
+        assert len(solve_planar_minla(star, dedup_reversals=True).witnesses) == 20160
+        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20159)
+
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("the witnesses were expanded past the cap")
+
+        monkeypatch.setattr("linarr.solvers._expand_orbits", no_expansion)
+        with pytest.raises(ValidationError, match="at most 20,159 .* has 20,160"):
+            solve_planar_minla(star, dedup_reversals=True)
+
+    def test_gap_witness_is_the_smallest_optimum(self):
+        for n in range(1, 9):
+            for g in enumerate_connected_outerplanar_graphs(n):
+                assert compute_gap(g).planar_witness == solve_planar_minla(g, True).best
+
+    def test_gap_answers_the_twelve_star(self):
+        # 2 * 11! crossing-free optima, far more than MAX_PLANAR_WITNESSES;
+        # compute_gap never lists them.
+        star = make_graph(12, [(0, i) for i in range(1, 12)])
+        start = time.perf_counter()
+        report = compute_gap(star)
+        assert time.perf_counter() - start < 2.0
+        assert report.gap == 0
+        assert report.planar_opt == report.minla_opt == 36
+        assert is_planar_arrangement(star, report.planar_witness)
+        assert cost(star, report.planar_witness) == 36
+        assert report.planar_witness.positions == (6,) + tuple(range(1, 6)) + tuple(range(7, 13))
+        with pytest.raises(ValidationError, match="39,916,800"):
+            solve_planar_minla(star, dedup_reversals=True)
 
 
 class TestPlanarOptima:
