@@ -49,7 +49,7 @@ def compute_gap(g: Graph) -> GapReport:
     `solve_planar_minla`, such as a 12-vertex star, is answered too.
     """
     minla = solve_minla_dp(g)
-    planar = _twin_sorted_optima(g, dedup_reversals=True)
+    planar = _twin_sorted_optima(g)
     outerplanar = planar is not None
     if planar is None:
         planar_opt = None

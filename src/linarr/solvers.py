@@ -25,8 +25,10 @@ has no crossing-free arrangement, with None from the linear-time
 outerplanarity test before it builds any table. Twins, vertices with the
 same neighbours apart from each other, can swap without changing cost or
 crossings, so the solver searches one twin-sorted optimum per orbit of
-such swaps and expands the orbits only when it lists the witnesses;
-`compute_gap` needs only the smallest optimum and never expands them.
+such swaps, and of each mirror pair only the smaller member. Only when it
+lists the witnesses does it expand the orbits, and add the mirrors unless
+reversals are deduplicated; `compute_gap` needs only the smallest optimum
+and does neither.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
 ValidationError instead of running for hours; the crossing-free solver
 builds the subset DP's tables and shares its limit, and it refuses to list
@@ -89,12 +91,11 @@ class SolveResult:
     arrangements whose cost was evaluated, which makes pruned and unpruned
     solvers directly comparable; for the subset DP it counts the subset
     states evaluated, 2**n. The crossing-free solver reaches only the
-    twin-sorted optima, one per orbit of twin swaps, and expands them into
-    the witnesses afterwards, so its `explored` counts the twin-sorted
-    complete arrangements reached and may be far below the number of
-    witnesses. It drops the larger member of each mirror pair inside its
-    search, so its `explored` is smaller with `deduped_reversals`; the
-    other solvers count the same in both modes.
+    twin-sorted optima up to reversal, one per orbit of twin swaps and
+    mirroring, and expands them into the witnesses afterwards, so its
+    `explored` counts the twin-sorted complete arrangements reached and
+    may be far below the number of witnesses. Every solver counts the
+    same in both modes.
     """
 
     optimal_cost: int
@@ -109,20 +110,21 @@ class SolveResult:
         return self.witnesses[0]
 
 
+def _mirrors(position_tuples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The mirror n + 1 - p of each position tuple p of a non-empty list."""
+    flip = (len(position_tuples[0]) + 1).__sub__
+    return [tuple(map(flip, p)) for p in position_tuples]
+
+
 def _finalize(optimal_cost: int, position_tuples: list[tuple[int, ...]], explored: int,
               solver_id: str, dedup_reversals: bool) -> SolveResult:
     # Arrangements order by their one field, so sorting the raw tuples gives
-    # the same order; only the tuples kept become Arrangements.
+    # the same order; only the tuples kept become Arrangements. A tuple is
+    # dropped when its mirror is listed and smaller.
     kept = sorted(position_tuples)
     if dedup_reversals:
-        mirror = (len(kept[0]) + 1).__sub__
-        skip: set[tuple[int, ...]] = set()
-        unique = []
-        for p in kept:
-            if p not in skip:
-                unique.append(p)
-                skip.add(tuple(map(mirror, p)))
-        kept = unique
+        listed = set(kept)
+        kept = [p for p, q in zip(kept, _mirrors(kept)) if p <= q or q not in listed]
     return SolveResult(optimal_cost, tuple(map(Arrangement._trusted, kept)), explored, solver_id,
                        dedup_reversals)
 
@@ -172,7 +174,7 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     edges = g.sorted_edges
     nbrs = g.neighbors
     incumbent: int | None = None
-    witnesses: list[tuple[int, ...]] = []
+    witness: tuple[int, ...] = ()
     explored = 0
     pos = [0] * n
 
@@ -192,13 +194,11 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
         return b
 
     def rec(k: int, placed_cost: int) -> None:
-        nonlocal incumbent, explored
+        nonlocal incumbent, witness, explored
         if k == n:
+            # A complete prefix's bound is its cost, so it beats the incumbent.
             explored += 1
-            if incumbent is None or placed_cost < incumbent:
-                incumbent = placed_cost
-                witnesses.clear()
-                witnesses.append(tuple(pos))
+            incumbent, witness = placed_cost, tuple(pos)
             return
         p = k + 1
         for v in range(n):
@@ -212,7 +212,7 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
 
     rec(0, 0)
     assert incumbent is not None
-    return _finalize(incumbent, witnesses, explored, SOLVER_BNB, dedup_reversals)
+    return _finalize(incumbent, [witness], explored, SOLVER_BNB, dedup_reversals)
 
 
 @lru_cache(maxsize=1)
@@ -320,9 +320,16 @@ def _components(nbrs: tuple[int, ...], within: int) -> list[int]:
     return pieces
 
 
-def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool = False,
-                          cells: Sequence[int] = ()) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
+                          ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first prefix search over crossing-free arrangements.
+
+    Without `cells` this is the unpruned stream of every crossing-free
+    arrangement. Given the twin `cells`, it is the optimum search: it
+    applies the bound, the tie deferral, the mirror break and the twin
+    rule below, and yields every twin-sorted optimum that precedes its
+    mirror, next to costlier arrangements reached before the optimum is
+    known.
 
     Vertices are placed left to right, each position trying the unplaced
     vertices in ascending index, and every complete arrangement reached is
@@ -360,8 +367,8 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
         is pushed, and only when some unplaced vertex has no placed
         neighbour; the components of each G - b are built on first use.
 
-    Cost is the running sum of prefix cuts. When `bounded`, the subset
-    DP's exact cost-to-go togo[S] = ahead[V - S] is built (after the
+    Cost is the running sum of prefix cuts. The optimum search builds the
+    subset DP's exact cost-to-go togo[S] = ahead[V - S] (after the
     edge-count rule, so a graph it rejects builds no tables), and a
     prefix is dropped when its cost plus togo exceeds the best cost
     yielded so far. A prefix whose bound equals that incumbent is not
@@ -372,16 +379,17 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     incumbent is the optimum, so the surviving resume points are exactly
     the deferred prefixes whose bound equals it; they are expanded with
     ties allowed. No prefix is thus expanded on a tie that later proves
-    non-optimal, and every optimum is yielded. Unbounded, the stream
-    holds every crossing-free arrangement.
+    non-optimal, and every optimum is yielded.
 
-    With `dedup_reversals`, a prefix of (n + 1) // 2 vertices is dropped
-    unless it holds vertex 0 and, for odd n with vertex 0 in the middle,
-    vertex 1. A position tuple p precedes its mirror n + 1 - p iff vertex
-    0 lies left of the middle, or in it with vertex 1 to its left; so of
-    each mirror pair only the smaller member is yielded. The optima are
-    closed under reversal, so the bounded search still finds the optimum
-    and yields the smaller member of every optimal pair.
+    Mirror break: the optimum search drops a prefix of (n + 1) // 2
+    vertices unless it holds vertex 0 and, for odd n with vertex 0 in the
+    middle, vertex 1. A position tuple p precedes its mirror n + 1 - p iff
+    vertex 0 lies left of the middle, or in it with vertex 1 to its left;
+    so of each mirror pair only the smaller member is yielded. The optima
+    are closed under reversal, so the search still finds the optimum and
+    yields the smaller member of every optimal pair; callers that want
+    both add the mirrors. At order 0 or 1 the break never fires, since its
+    prefix is already complete, and the one arrangement is its own mirror.
 
     Twin rule: `cells` are disjoint vertex masks, each of twins
     (`_twin_masks`) and none holding vertex 0 or 1, and a member of a
@@ -397,9 +405,8 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     and it reaches the optimum. The permutations fix the positions of
     vertices 0 and 1, which are all the mirror break reads, so the break
     keeps or drops whole orbits. The rule is checked on each candidate
-    next to the bound, so the unbounded stream, which passes no cells,
-    never tests it; callers expand each yielded arrangement into its
-    orbit.
+    next to the bound, so the unpruned stream never tests it; callers
+    expand each yielded arrangement into its orbit.
 
     The search runs in one generator frame over an explicit stack of
     levels, one per placed prefix. A level holds the candidates still to
@@ -416,13 +423,13 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     n = g.order
     if n >= 2 and g.size > 2 * n - 3:
         return iter(())
-    togo = _subset_tables(g)[1][::-1] if bounded else None
+    togo = None if cells is None else _subset_tables(g)[1][::-1]
     nbrs = g.neighbor_masks
     adj = g.neighbors
     full = (1 << n) - 1
     # The mirror break's prefix size (-1: no break), and the middle
     # position, which for odd n also needs vertex 1 placed.
-    half = (n + 1) // 2 if dedup_reversals else -1
+    half = -1 if cells is None else (n + 1) // 2
     middle = half if n & 1 else 0
     # split[b]: the components of G - b as masks, for the pocket rule;
     # each is built the first time b is a later neighbour of the top of
@@ -430,7 +437,7 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     split: list[list[int] | None] = [None] * n
     # lower[v]: the members of v's twin cell below v, for the twin rule.
     lower = [0] * n
-    for c in cells:
+    for c in cells or ():
         for v in range(n):
             if c >> v & 1:
                 lower[v] = c & ((1 << v) - 1)
@@ -531,15 +538,16 @@ def _crossing_free_search(g: Graph, bounded: bool = False, dedup_reversals: bool
     return walk()
 
 
-def _twin_sorted_optima(g: Graph, dedup_reversals: bool
-                        ) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
-    """The crossing-free optimum up to twin swaps, or None if g has none.
+def _twin_sorted_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
+    """The crossing-free optimum up to twin swaps and reversal, or None if g
+    has none.
 
-    Returns (optimum, the twin-sorted optima as position tuples, explored,
-    the twin cells the search was restricted by). Each optimum stands for
-    its orbit under the permutations inside the cells; the orbit's smallest
-    member is the twin-sorted one, so the smallest optimum is the least of
-    them. Checks the order limit, and answers a graph that is not
+    Returns (optimum, the twin-sorted optima that precede their mirrors, as
+    position tuples, explored, the twin cells the search was restricted
+    by). Each optimum stands for its orbit under the permutations inside
+    the cells; the orbit's smallest member is the twin-sorted one, and the
+    smaller member of a mirror pair is kept, so the smallest optimum is the
+    least of them. Checks the order limit, and answers a graph that is not
     outerplanar before any table is built.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
@@ -550,7 +558,7 @@ def _twin_sorted_optima(g: Graph, dedup_reversals: bool
     incumbent: int | None = None
     optima: list[tuple[int, ...]] = []
     explored = 0
-    for c, positions in _crossing_free_search(g, True, dedup_reversals, cells):
+    for c, positions in _crossing_free_search(g, cells):
         explored += 1
         if incumbent is None or c < incumbent:
             incumbent = c
@@ -561,18 +569,9 @@ def _twin_sorted_optima(g: Graph, dedup_reversals: bool
     return incumbent, optima, explored, cells
 
 
-def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int], total: int
-                   ) -> list[tuple[int, ...]]:
-    """Every permutation inside the cells of every twin-sorted optimum,
-    `total` position tuples in all, in no particular order.
-
-    The list is allocated once and expanded in place, one cell at a time:
-    entry i becomes entries i * k! .. (i + 1) * k! - 1, filled from the
-    last entry down so that no entry is overwritten before it is read.
-    """
-    out: list = [None] * total
-    out[:len(optima)] = optima
-    count = len(optima)
+def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int]) -> list[tuple[int, ...]]:
+    """Every permutation inside the cells of every twin-sorted optimum, in
+    no particular order; one cell is expanded at a time."""
     n = len(optima[0])
     for cell in cells:
         members = [v for v in range(n) if cell >> v & 1]
@@ -582,16 +581,9 @@ def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int], total: int
         at = {v: i for i, v in enumerate(rest + members)}
         take, slots = itemgetter(*rest), itemgetter(*members)
         put = itemgetter(*map(at.get, range(n)))
-        width = math.factorial(len(members))
-        for i in range(count - 1, -1, -1):
-            p = out[i]
-            fixed = take(p)
-            j = i * width
-            for perm in permutations(slots(p)):
-                out[j] = put(fixed + perm)
-                j += 1
-        count *= width
-    return out
+        optima = [put(fixed + perm) for p in optima for fixed in (take(p),)
+                  for perm in permutations(slots(p))]
+    return optima
 
 
 def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult | None:
@@ -600,27 +592,29 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
     Returns None when the graph admits no crossing-free arrangement. The
     witness set contains every crossing-free optimum, or with
     `dedup_reversals` the smaller member of each mirror pair of them, so it
-    doubles as the planar-optima enumerator. The search yields only those,
-    and of them only the twin-sorted ones: it defers prefixes that tie the
-    incumbent until the optimum is known, with `dedup_reversals` it drops
-    the larger half of the mirror pairs itself, and it places twins
-    (vertices with the same neighbours apart from each other, vertices 0
-    and 1 excepted) in ascending order only. Each twin-sorted optimum is
-    then expanded into every permutation inside its twin cells. `explored`
-    counts the twin-sorted complete arrangements the pruned search
-    reaches, so it is smaller with `dedup_reversals`. More than
-    MAX_PLANAR_WITNESSES witnesses raise ValidationError before any is
-    built; `compute_gap` needs only the smallest and answers such graphs.
-    The search is pruned by the subset DP's tables, so it shares that
-    solver's order limit. A graph has a crossing-free arrangement iff it is
-    outerplanar, so every other graph gets None from the linear-time
-    `is_outerplanar` before any table is built or any prefix searched.
+    doubles as the planar-optima enumerator. The search yields only the
+    smaller members, and of them only the twin-sorted ones: it defers
+    prefixes that tie the incumbent until the optimum is known, drops the
+    larger half of the mirror pairs, and places twins (vertices with the
+    same neighbours apart from each other, vertices 0 and 1 excepted) in
+    ascending order only. Each twin-sorted optimum is then expanded into
+    every permutation inside its twin cells, and without `dedup_reversals`
+    each witness's mirror is added; from order 2 on no arrangement is its
+    own mirror. `explored` counts the twin-sorted complete arrangements the
+    search reaches, the same in both modes. More than MAX_PLANAR_WITNESSES
+    witnesses raise ValidationError before any is built; `compute_gap`
+    needs only the smallest and answers such graphs. The search is pruned
+    by the subset DP's tables, so it shares that solver's order limit. A
+    graph has a crossing-free arrangement iff it is outerplanar, so every
+    other graph gets None from the linear-time `is_outerplanar` before any
+    table is built or any prefix searched.
     """
-    found = _twin_sorted_optima(g, dedup_reversals)
+    found = _twin_sorted_optima(g)
     if found is None:
         return None
     optimum, optima, explored, cells = found
-    total = len(optima)
+    mirrored = not dedup_reversals and g.order >= 2
+    total = 2 * len(optima) if mirrored else len(optima)
     for cell in cells:
         total *= math.factorial(cell.bit_count())
     if total > MAX_PLANAR_WITNESSES:
@@ -629,7 +623,9 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
             f"arrangements, and this graph has {total:,}; `gap` reports the optimum "
             "and the smallest of them"
         )
-    witnesses = _expand_orbits(optima, cells, total) if cells else optima
+    witnesses = _expand_orbits(optima, cells)
+    if mirrored:
+        witnesses += _mirrors(witnesses)
     witnesses.sort()
     return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored,
                        SOLVER_PLANAR, dedup_reversals)

@@ -68,8 +68,11 @@ DP_ORDER7_SHA256 = "d3e2b66f467cafb74a244c81bf182cd2e1eb7861f286cd73d6b3092c5444
 # lowered `explored`; the witnesses are pinned apart below. Retaken again
 # when the search began to reach only the twin-sorted arrangements, which
 # lowered `explored` on every class with a twin cell outside vertices 0
-# and 1; the witnesses digest below did not change.
-PLANAR_ORDER7_SHA256 = "43499ce8047306dbd36b8b1c6982e30a627e12c1d23a9e31937e2d4b162de90c"
+# and 1; the witnesses digest below did not change. Retaken once more when
+# the search began to break mirrors in both modes and dedup_reversals=False
+# began to add each witness's mirror after it, which made `explored` the
+# same in both modes; again the witnesses digest did not change.
+PLANAR_ORDER7_SHA256 = "18abf6a5464e181f3c804a6cc5e662c9666012092512215b6056edc06d39cfea"
 
 # The same, of repr(None) or repr((optimal_cost, [w.positions for w in
 # witnesses])), without `explored`; taken while the search still expanded
@@ -360,12 +363,15 @@ class TestPlanarSolver:
         digest, witnesses_digest = hashlib.sha256(), hashlib.sha256()
         for k in range(8):
             for g in _all_graph_reps(k):
+                explored = set()
                 for dedup in (False, True):
                     r = solve_planar_minla(g, dedup_reversals=dedup)
                     digest.update(repr(None if r is None else (
                         r.optimal_cost, r.explored, [w.positions for w in r.witnesses])).encode())
                     witnesses_digest.update(repr(None if r is None else (
                         r.optimal_cost, [w.positions for w in r.witnesses])).encode())
+                    explored.add(None if r is None else r.explored)
+                assert len(explored) == 1
         assert witnesses_digest.hexdigest() == PLANAR_WITNESSES_ORDER7_SHA256
         assert digest.hexdigest() == PLANAR_ORDER7_SHA256
 
@@ -373,11 +379,16 @@ class TestPlanarSolver:
         # Every arrangement of a star is crossing-free; 8! = 40,320 optima
         # put the centre in the middle, 20,160 up to reversal. Leaves 2..8
         # form one twin cell, so the search reaches only arrangements that
-        # place them in ascending order: the 8 (4 up to reversal) optima
-        # that fix where leaf 1 goes, and 4 leaves beyond them, before it
-        # has the optimum. It reached 40,324 and 20,164 before the twin rule.
+        # place them in ascending order: the 4 optima up to reversal that
+        # fix where leaf 1 goes, and 4 leaves beyond them, before it has the
+        # optimum. It breaks mirrors in both modes, and without
+        # dedup_reversals the mirrors are added afterwards, so both modes
+        # reach 8. Without dedup_reversals it reached 12 while the break
+        # depended on the mode; 40,324 and 20,164 before the twin rule.
         star = make_graph(9, [(0, i) for i in range(1, 9)])
-        assert solve_planar_minla(star).explored == 12
+        full = solve_planar_minla(star)
+        assert full.explored == 8
+        assert len(full.witnesses) == 40320
         result = solve_planar_minla(star, dedup_reversals=True)
         assert result.optimal_cost == 20
         assert result.explored == 8
@@ -497,17 +508,22 @@ class TestTwinQuotient:
         assert result.best.positions == (5,) + tuple(range(1, 5)) + tuple(range(6, 11))
 
     def test_witness_cap_is_checked_before_expansion(self, monkeypatch):
+        # Without dedup_reversals the cap counts the mirrors that are added
+        # after the expansion too.
         star = make_graph(9, [(0, i) for i in range(1, 9)])
-        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20160)
-        assert len(solve_planar_minla(star, dedup_reversals=True).witnesses) == 20160
-        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20159)
 
         def no_expansion(*args, **kwargs):
             raise AssertionError("the witnesses were expanded past the cap")
 
-        monkeypatch.setattr("linarr.solvers._expand_orbits", no_expansion)
-        with pytest.raises(ValidationError, match="at most 20,159 .* has 20,160"):
-            solve_planar_minla(star, dedup_reversals=True)
+        for dedup, count in [(True, 20160), (False, 40320)]:
+            with monkeypatch.context() as m:
+                m.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", count)
+                assert len(solve_planar_minla(star, dedup_reversals=dedup).witnesses) == count
+                m.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", count - 1)
+                m.setattr("linarr.solvers._expand_orbits", no_expansion)
+                with pytest.raises(ValidationError,
+                                   match=f"at most {count - 1:,} .* has {count:,}"):
+                    solve_planar_minla(star, dedup_reversals=dedup)
 
     def test_gap_witness_is_the_smallest_optimum(self):
         for n in range(1, 9):
@@ -556,9 +572,12 @@ class TestPlanarOptima:
 
 class TestSolverInvariants:
     @pytest.mark.parametrize("dedup", [False, True])
-    @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_minla_bnb, solve_minla_dp],
-                             ids=["exhaustive", "bnb", "dp"])
+    @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_minla_bnb, solve_minla_dp,
+                                       solve_planar_minla],
+                             ids=["exhaustive", "bnb", "dp", "planar"])
     def test_order_zero_and_one(self, solve, dedup):
+        # The one arrangement is its own mirror, so it is listed once in
+        # both modes.
         for n in (0, 1):
             result = solve(make_graph(n), dedup_reversals=dedup)
             assert result.optimal_cost == 0
