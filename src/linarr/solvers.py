@@ -5,14 +5,14 @@ about dominating cycle edges in crossing-free arrangements.
 The default minLA solver is a dynamic program over vertex subsets; the
 exhaustive and branch-and-bound solvers enumerate arrangements of vertices
 onto positions 1..n, the latter pruning prefixes, and are kept as
-references. The crossing-free solver and `iter_crossing_free` share one
-prefix search, which drops a prefix as soon as some edge, placed or still
-to come, must cross. Two more exact rules drop prefixes that no
-crossing-free arrangement extends. The edge-count rule answers a graph
-with more than 2n - 3 edges with nothing. The cut-vertex pocket rule
-(rule (d) in ROADMAP.md): while some placed vertex has an unplaced
-neighbour, a vertex v with no placed neighbour is placed only if an
-unplaced neighbour b of the last such vertex t cuts v off from every
+references. The crossing-free solver, `iter_crossing_free` and the claim
+checker share one prefix search, which drops a prefix as soon as some
+edge, placed or still to come, must cross. Two more exact rules drop
+prefixes that no crossing-free arrangement extends. The edge-count rule
+answers a graph with more than 2n - 3 edges with nothing. The cut-vertex
+pocket rule (rule (d) in ROADMAP.md): while some placed vertex has an
+unplaced neighbour, a vertex v with no placed neighbour is placed only if
+an unplaced neighbour b of the last such vertex t cuts v off from every
 placed vertex. Proof: let b be the neighbour of t placed first
 after t. The edge (t, b) is then the innermost edge over v's position,
 and every vertex from v up to b has all its neighbours in that range, so
@@ -28,7 +28,11 @@ crossings, so the solver searches one twin-sorted optimum per orbit of
 such swaps, and of each mirror pair only the smaller member. Only when it
 lists the witnesses does it expand the orbits, and add the mirrors unless
 reversals are deduplicated; `compute_gap` needs only the smallest optimum
-and does neither.
+and does neither. The claim checker walks the same search without the
+bound: one arrangement per orbit of mirroring and of swaps of twins off
+the cycle, on which both verdicts are constant. It counts every member of
+each orbit, so a graph with no crossing-free arrangement reports 0, and
+both claims then hold vacuously.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
 ValidationError instead of running for hours; the crossing-free solver
 builds the subset DP's tables and shares its limit, and it refuses to list
@@ -60,11 +64,15 @@ SOLVER_PLANAR = "planar-prefix"
 # MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
 # builds and solves only the connected outerplanar classes (OEIS
 # A111563): 3,783 at order 9, built in about 4 s, with the whole search
-# taking about 10 s; order 10 has 20,074. The claim checker walks every
-# crossing-free arrangement with no bound to prune them, so its time
-# follows their number. A triangle with pendants on one vertex has
-# 2n(n - 2)! of them, and checking it takes 0.5 s at order 9, 6.5-6.7 s
-# at order 10 and 48 s at order 11 (7,983,360 arrangements).
+# taking about 10 s; order 10 has 20,074. The claim checker examines one
+# crossing-free arrangement per orbit of mirroring and twin swaps, so its
+# time follows the number of orbits. A triangle with pendants on one
+# vertex has 2n(n - 2)! arrangements in n(n - 2) orbits, and checking it
+# takes 2.1 ms at order 10 (806,400 arrangements) and 2.8 ms at order 11.
+# Inputs with few twins gain little more than the mirror half: a
+# triangle, an edge, a 4-path and an isolated vertex (order 10, 138,240
+# arrangements in 34,560 orbits) take 0.51 s, so the limit stays at 10.
+# Times are CPU time on one Xeon core under CPython 3.11.
 MAX_ORDER_EXHAUSTIVE = 10
 MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
@@ -320,16 +328,18 @@ def _components(nbrs: tuple[int, ...], within: int) -> list[int]:
     return pieces
 
 
-def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
+def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
+                          togo: Sequence[int] | None = None
                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first prefix search over crossing-free arrangements.
 
-    Without `cells` this is the unpruned stream of every crossing-free
-    arrangement. Given the twin `cells`, it is the optimum search: it
-    applies the bound, the tie deferral, the mirror break and the twin
-    rule below, and yields every twin-sorted optimum that precedes its
-    mirror, next to costlier arrangements reached before the optimum is
-    known.
+    With no other argument this is the stream of every crossing-free
+    arrangement. Given twin `cells`, it applies the mirror break and the
+    twin rule below and yields one twin-sorted arrangement per orbit of
+    twin swaps and mirroring, the one that precedes its mirror. Given
+    also the cost-to-go table `togo`, it is the optimum search: it
+    applies the bound and the tie deferral, and yields every such optimum
+    next to costlier arrangements reached before the optimum is known.
 
     Vertices are placed left to right, each position trying the unplaced
     vertices in ascending index, and every complete arrangement reached is
@@ -367,9 +377,10 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
         is pushed, and only when some unplaced vertex has no placed
         neighbour; the components of each G - b are built on first use.
 
-    Cost is the running sum of prefix cuts. The optimum search builds the
-    subset DP's exact cost-to-go togo[S] = ahead[V - S] (after the
-    edge-count rule, so a graph it rejects builds no tables), and a
+    Cost is the running sum of prefix cuts. The optimum search is given
+    the subset DP's exact cost-to-go togo[S] = ahead[V - S] by a caller
+    that has already rejected every graph that is not outerplanar, so the
+    edge-count rule never answers a graph after its tables are built. A
     prefix is dropped when its cost plus togo exceeds the best cost
     yielded so far. A prefix whose bound equals that incumbent is not
     expanded but deferred: its parent level, with only that candidate
@@ -381,15 +392,16 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
     ties allowed. No prefix is thus expanded on a tie that later proves
     non-optimal, and every optimum is yielded.
 
-    Mirror break: the optimum search drops a prefix of (n + 1) // 2
+    Mirror break: given `cells`, the search drops a prefix of (n + 1) // 2
     vertices unless it holds vertex 0 and, for odd n with vertex 0 in the
     middle, vertex 1. A position tuple p precedes its mirror n + 1 - p iff
     vertex 0 lies left of the middle, or in it with vertex 1 to its left;
-    so of each mirror pair only the smaller member is yielded. The optima
-    are closed under reversal, so the search still finds the optimum and
-    yields the smaller member of every optimal pair; callers that want
-    both add the mirrors. At order 0 or 1 the break never fires, since its
-    prefix is already complete, and the one arrangement is its own mirror.
+    so of each mirror pair only the smaller member is yielded. The
+    crossing-free arrangements and the optima are closed under reversal,
+    so the optimum search still finds the optimum and yields the smaller
+    member of every optimal pair; callers that want both add the mirrors.
+    At order 0 or 1 the break never fires, since its prefix is already
+    complete, and the one arrangement is its own mirror.
 
     Twin rule: `cells` are disjoint vertex masks, each of twins
     (`_twin_masks`) and none holding vertex 0 or 1, and a member of a
@@ -404,9 +416,9 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
     tie deferral and the pocket rule stay exact on the restricted search,
     and it reaches the optimum. The permutations fix the positions of
     vertices 0 and 1, which are all the mirror break reads, so the break
-    keeps or drops whole orbits. The rule is checked on each candidate
-    next to the bound, so the unpruned stream never tests it; callers
-    expand each yielded arrangement into its orbit.
+    keeps or drops whole orbits, and from order 2 on each orbit of twin
+    swaps and mirroring has 2 * prod(|cell|!) members, one of them
+    yielded. Callers expand each yielded arrangement into its orbit.
 
     The search runs in one generator frame over an explicit stack of
     levels, one per placed prefix. A level holds the candidates still to
@@ -423,7 +435,6 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
     n = g.order
     if n >= 2 and g.size > 2 * n - 3:
         return iter(())
-    togo = None if cells is None else _subset_tables(g)[1][::-1]
     nbrs = g.neighbor_masks
     adj = g.neighbors
     full = (1 << n) - 1
@@ -468,12 +479,12 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
             bit = m & -m
             m ^= bit
             v = bit.bit_length() - 1
+            if lower[v] & free:
+                continue  # the twin rule
             nb = nbrs[v] & placed
             k = nb.bit_count()
             s = placed | bit
             if togo is not None:
-                if lower[v] & free:
-                    continue  # the twin rule
                 bound = spent + togo[s]
                 if bound >= incumbent:
                     if bound > incumbent:
@@ -538,6 +549,13 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None
     return walk()
 
 
+def _twin_cells_off(g: Graph, fixed: int) -> list[int]:
+    """The twin cells (`_twin_masks`) of g without the vertices in the mask
+    `fixed`, as masks; only cells left with two or more members."""
+    return [c for c in dict.fromkeys(m & ~fixed for m in _twin_masks(g.neighbor_masks))
+            if c.bit_count() > 1]
+
+
 def _twin_sorted_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
     """The crossing-free optimum up to twin swaps and reversal, or None if g
     has none.
@@ -553,12 +571,12 @@ def _twin_sorted_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
     if not is_outerplanar(g):
         return None
-    cells = [c for c in dict.fromkeys(m & ~3 for m in _twin_masks(g.neighbor_masks))
-             if c.bit_count() > 1]
+    cells = _twin_cells_off(g, 3)
     incumbent: int | None = None
     optima: list[tuple[int, ...]] = []
     explored = 0
-    for c, positions in _crossing_free_search(g, cells):
+    togo = _subset_tables(g)[1][::-1]
+    for c, positions in _crossing_free_search(g, cells, togo):
         explored += 1
         if incumbent is None or c < incumbent:
             incumbent = c
@@ -644,8 +662,10 @@ def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:
     """Yield every crossing-free arrangement of g exactly once, in ascending
     lexicographic order of `vertex_order()`.
 
-    Callers may rely on that order: the claim checker's witnesses are the
-    first failures in it. The stream is lazy and builds no tables.
+    Callers may rely on that order: the claim checker examines one
+    arrangement per orbit of mirroring and twin swaps, and reports as
+    witnesses the first failures in it. The stream is lazy and builds no
+    tables.
     """
     for _, positions in _crossing_free_search(g):
         yield Arrangement._trusted(positions)
@@ -668,8 +688,10 @@ class ClaimVerdict:
 
 @dataclass(frozen=True)
 class ClaimReport:
-    """Verdicts for the two dominating-edge claims, aggregated over every
-    crossing-free arrangement examined."""
+    """Verdicts for the two dominating-edge claims over every crossing-free
+    arrangement. `arrangement_count` counts them all, though the checker
+    examines one per orbit of mirroring and twin swaps; it is 0 when the
+    graph has none, and both claims then hold vacuously."""
 
     arrangement_count: int
     claim1: ClaimVerdict
@@ -715,6 +737,22 @@ def _validate_cycle(g: Graph, cycle_edges) -> tuple[Edge, ...]:
     return edges
 
 
+def _least_in_orbit(positions: tuple[int, ...], cells: list[list[int]]) -> list[int]:
+    """The smallest vertex order in the orbit of a twin-sorted arrangement
+    under the permutations inside `cells` (each ascending) and reversal.
+    Its twin-sorted member is the least on each side of the mirror, so the
+    answer is the smaller of its own order and its twin-sorted reverse."""
+    order = [0] * len(positions)
+    for v, p in enumerate(positions):
+        order[p - 1] = v
+    back = order[::-1]
+    for members in cells:
+        slots = [i for i, v in enumerate(back) if v in members]
+        for i, v in zip(slots, members):
+            back[i] = v
+    return min(order, back)
+
+
 def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     """Check the two dominating-edge claims over all crossing-free arrangements.
 
@@ -723,7 +761,18 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     Claim 2: exactly one cycle edge has an interval containing every other
     edge's interval. (Per the domination predicate's convention, "e contains
     all others" means every other edge dominates into e's interval.)
+    A graph with no crossing-free arrangement reports 0 arrangements, and
+    both claims then hold vacuously. A failing claim's witness is its first
+    failure in ascending `vertex_order()`, as `iter_crossing_free` walks.
     Graphs above MAX_ORDER_CLAIMS raise ValidationError before any search.
+
+    Only one arrangement per orbit of twin swaps and mirroring is examined,
+    with twin cells that leave out the cycle's vertices and vertices 0 and 1
+    (`_crossing_free_search`). Both verdicts are constant on an orbit: a
+    swap keeps every cycle edge's interval and the hull of the vertices
+    that have edges, and reversal keeps containment and adjacency. Every
+    orbit has 2 * prod(|cell|!) members, which `arrangement_count` adds up,
+    and a failing orbit's least member (`_least_in_orbit`) stands for it.
     """
     if g.order > MAX_ORDER_CLAIMS:
         raise ValidationError(
@@ -736,12 +785,19 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     # that hull is (1, n) in every arrangement.
     ends = {v for e in g.sorted_edges for v in e}
     full = (1, g.order) if len(ends) == g.order else None
+    fixed = 3
+    for u, v in cyc:
+        fixed |= 1 << u | 1 << v
+    cells = _twin_cells_off(g, fixed)
+    orbit = 2
+    for c in cells:
+        orbit *= math.factorial(c.bit_count())
+    members = [[v for v in range(g.order) if c >> v & 1] for c in cells]
     count = 0
-    c1 = ClaimVerdict(True)
-    c2 = ClaimVerdict(True)
-    for arr in iter_crossing_free(g):
-        count += 1
-        pos = arr.positions
+    # The first failure of each claim so far, as (vertex order, edge).
+    first1 = first2 = None
+    for _, pos in _crossing_free_search(g, cells):
+        count += orbit
         hull = full
         if hull is None:
             at = list(map(pos.__getitem__, ends))
@@ -755,12 +811,20 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
                 dominated = True
             elif span[1] - span[0] != 1 and failing_edge is None:
                 failing_edge = e
-        if failing_edge is not None and c1.holds:
-            c1 = ClaimVerdict(
-                False, arr, failing_edge,
-                "cycle edge neither contains all other edges nor has adjacent endpoints",
-            )
-        if not dominated and c2.holds:
-            edge = failing_edge if failing_edge is not None else cyc[0]
-            c2 = ClaimVerdict(False, arr, edge, "no cycle edge contains all other edges")
+        if failing_edge is None and dominated:
+            continue
+        least = _least_in_orbit(pos, members)
+        if failing_edge is not None and (first1 is None or least < first1[0]):
+            first1 = least, failing_edge
+        if not dominated and (first2 is None or least < first2[0]):
+            first2 = least, failing_edge if failing_edge is not None else cyc[0]
+    c1 = c2 = ClaimVerdict(True)
+    if first1 is not None:
+        c1 = ClaimVerdict(
+            False, Arrangement.from_vertex_order(first1[0]), first1[1],
+            "cycle edge neither contains all other edges nor has adjacent endpoints",
+        )
+    if first2 is not None:
+        c2 = ClaimVerdict(False, Arrangement.from_vertex_order(first2[0]), first2[1],
+                          "no cycle edge contains all other edges")
     return ClaimReport(count, c1, c2)

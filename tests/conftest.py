@@ -2,7 +2,9 @@
 
 The oracle functions below deliberately avoid the package's solvers and
 predicates: they re-derive costs, crossings and optima straight from the
-definitions, so tests can compare the two code paths.
+definitions, so tests can compare the two code paths. `reference_claims`
+is a reference of another kind: the claim checker's full walk over the
+package's own `iter_crossing_free`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import strategies as st
 
-from linarr import Arrangement, Graph, make_graph, pentagon_with_chord
+from linarr import (
+    Arrangement,
+    ClaimReport,
+    ClaimVerdict,
+    Graph,
+    iter_crossing_free,
+    make_graph,
+    pentagon_with_chord,
+)
 
 LETTERS = "abcdefghij"
 
@@ -115,6 +125,42 @@ def oracle_claims(g: Graph, cycle_edges):
             edge = dominators[1] if dominators else (failing or cyc)[0]
             claim2 = (False, pos, edge)
     return len(walk), claim1, claim2
+
+
+def reference_claims(g: Graph, cycle_edges) -> ClaimReport:
+    """The dominating-edge claims by a full walk of `iter_crossing_free`.
+
+    It examines every crossing-free arrangement in stream order with the
+    checker's own hull test, and takes each claim's witness at its first
+    failure; the checker examines one arrangement per orbit of twin swaps
+    and mirroring, and its report must equal this one.
+    """
+    cyc = sorted(tuple(sorted(e)) for e in cycle_edges)
+    ends = {v for e in g.edges for v in e}
+    count = 0
+    claim1 = claim2 = ClaimVerdict(True)
+    for arr in iter_crossing_free(g):
+        count += 1
+        pos = arr.positions
+        at = [pos[v] for v in ends]
+        hull = (min(at), max(at))
+        dominated = False
+        failing_edge = None
+        for e in cyc:
+            span = tuple(sorted((pos[e[0]], pos[e[1]])))
+            if span == hull:
+                dominated = True
+            elif span[1] - span[0] != 1 and failing_edge is None:
+                failing_edge = e
+        if failing_edge is not None and claim1.holds:
+            claim1 = ClaimVerdict(
+                False, arr, failing_edge,
+                "cycle edge neither contains all other edges nor has adjacent endpoints",
+            )
+        if not dominated and claim2.holds:
+            edge = failing_edge if failing_edge is not None else cyc[0]
+            claim2 = ClaimVerdict(False, arr, edge, "no cycle edge contains all other edges")
+    return ClaimReport(count, claim1, claim2)
 
 
 def simple_cycles(g: Graph) -> list[list[tuple[int, int]]]:

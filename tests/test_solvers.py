@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from conftest import (
     oracle_minla,
     oracle_planar_minla,
     path_graph,
+    reference_claims,
     simple_cycles,
 )
 from linarr import (
@@ -49,6 +50,7 @@ from linarr.solvers import (
     MAX_ORDER_DP,
     MAX_ORDER_EXHAUSTIVE,
     MAX_PLANAR_WITNESSES,
+    _crossing_free_search,
 )
 
 # sha256 over the graphs of _all_graph_reps(7) of repr([a.positions for a in
@@ -427,6 +429,33 @@ def _restricting_cells(g: Graph) -> list[int]:
     return [c for c in set(m & ~3 for m in _twin_masks(g.neighbor_masks)) if c.bit_count() > 1]
 
 
+class TestReducedStream:
+    def test_orbits_expand_to_the_full_stream(self):
+        # Given the twin cells and no cost-to-go table, the engine yields one
+        # twin-sorted arrangement per orbit of twin swaps and mirroring, the
+        # one that precedes its mirror; disconnected graphs included.
+        for n in range(8):
+            mirror = (n + 1).__sub__
+            for g in _all_graph_reps(n):
+                masks = _restricting_cells(g)
+                cells = [[v for v in range(n) if c >> v & 1] for c in masks]
+                expanded = []
+                for _, p in _crossing_free_search(g, masks):
+                    assert all(p[u] < p[v] for c in cells for u, v in zip(c, c[1:]))
+                    q = tuple(map(mirror, p))
+                    assert p < q or n < 2
+                    for side in {p, q}:
+                        for perms in product(*(permutations([side[v] for v in c])
+                                               for c in cells)):
+                            r = list(side)
+                            for c, perm in zip(cells, perms):
+                                for v, x in zip(c, perm):
+                                    r[v] = x
+                            expanded.append(tuple(r))
+                assert len(expanded) == len(set(expanded))
+                assert set(expanded) == {a.positions for a in iter_crossing_free(g)}
+
+
 def _assert_matches(g: Graph, best: int, optima: set[tuple[int, ...]]) -> None:
     """Both modes of solve_planar_minla list exactly `optima`, sorted."""
     mirror = (g.order + 1).__sub__
@@ -674,3 +703,33 @@ class TestClaims:
                         assert (None if got is None else got.positions) == pos
                         assert verdict.witness_edge == edge
         assert pairs == 205
+
+    def test_matches_full_walk_to_order_seven(self):
+        # Every outerplanar class of orders 3-7, disconnected ones included,
+        # with every simple cycle.
+        pairs = 0
+        for n in range(3, 8):
+            for g in _all_graph_reps(n):
+                if not is_outerplanar(g):
+                    continue
+                for cycle in simple_cycles(g):
+                    pairs += 1
+                    assert check_dominating_edge_claims(g, cycle) == reference_claims(g, cycle)
+        assert pairs == 1104
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_triangle_with_pendants(self, n):
+        # A triangle with n - 3 pendants on one vertex has 2n(n - 2)!
+        # crossing-free arrangements; the pendants form one twin cell.
+        cycle = [(0, 1), (1, 2), (0, 2)]
+        g = make_graph(n, cycle + [(2, v) for v in range(3, n)])
+        report = check_dominating_edge_claims(g, cycle)
+        assert report.arrangement_count == 2 * n * math.factorial(n - 2)
+        assert not report.claim1.holds and not report.claim2.holds
+        if n <= 9:
+            assert report == reference_claims(g, cycle)
+
+    def test_no_crossing_free_arrangement_holds_vacuously(self):
+        report = check_dominating_edge_claims(complete_graph(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert report.arrangement_count == 0
+        assert report.both_hold
