@@ -38,10 +38,22 @@ from .solvers import (
 
 
 def _read_text(path: str) -> str:
+    """The input's text, decoded as strict UTF-8 from the file's bytes or
+    from stdin's, whatever the locale; a stdin with no byte buffer beneath
+    it, an in-memory text stream, is read as text."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not valid UTF-8",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _load_doc(path: str) -> GraphDocument:

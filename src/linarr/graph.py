@@ -18,12 +18,14 @@ independent set of the lowest colour class, whose rows are zero in any
 order, so the search places each such set at once as one unordered cell
 and orders it lazily, splitting it by each later vertex's neighbours
 (`_min_key` gives the proofs). Enumeration adds one vertex to each smaller
-representative and, before keying, skips the extensions that twin cells or
-a minimum-degree argument show to be covered by another extension. The
-same engine can keep only outerplanar graphs, extending outerplanar
-representatives alone; that stream feeds the gap search. Everything here
-is exact; enumeration of all graphs is intended for orders up to 8 (12,346
-classes), of outerplanar ones up to 9 (5,291 classes).
+representative and, before keying, skips the extensions that twin cells, a
+minimum-degree argument or a comparison of neighbour degrees show to be
+covered by another extension. The same engine can keep only outerplanar
+graphs, extending outerplanar representatives alone by at most two edges,
+since every outerplanar graph has a vertex of degree at most 2; that
+stream feeds the gap search. Everything here is exact; enumeration of all
+graphs is intended for orders up to 8 (12,346 classes), of outerplanar
+ones up to 9 (5,291 classes).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -401,8 +402,9 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     graphs, or, with `outerplanar`, of the outerplanar ones only.
 
     Every graph G of this order is P+S for a smaller representative P: P
-    plus a new vertex joined to the set S of P's vertices. Two exact rules
-    skip, before keying, extensions that another extension already covers:
+    plus a new vertex joined to the set S of P's vertices. Exact rules
+    skip, before keying, extensions that another extension already covers.
+    They read only P's neighbour masks and S, before P+S is built:
 
     (i) Twin cells: S meets each twin cell of P (`_twin_cells`) in the
         lowest-index vertices of that cell. Proof: a permutation σ inside
@@ -413,12 +415,31 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
         so G ≅ P+S with |S| = deg(u) <= every other degree; ties are
         kept. The σ of rule (i) only permutes these degrees, so the two
         rules compose.
+    (iv) Neighbour degrees, the cheap-invariant step of canonical
+        augmentation (McKay, J. Algorithms 26, 1998): let inv(u) be the
+        sorted degrees, in G = P+S, of u's neighbours. No old vertex of
+        degree |S| in G has a larger inv than the new vertex. Proof:
+        choose a minimum-degree vertex u* of G whose inv is largest. Then
+        G - u* ≅ some P, and G ≅ P+S by an isomorphism that maps u* to the
+        new vertex; rule (i)'s σ extends to an isomorphism P+S ≅ P+σ(S)
+        that fixes the new vertex. Both keep degrees and inv, so the new
+        vertex of P+σ(S) has the least degree and, among the vertices of
+        that degree, the largest inv: it passes rules (ii) and (iv). The
+        invs are compared only when an old vertex ties the new one's degree.
 
     With `outerplanar`, only outerplanar representatives are extended, and
     an extension is dropped before keying unless it is outerplanar. This
     reaches every outerplanar G: deleting a vertex keeps a graph
-    outerplanar, so the P ≅ G - u of rule (ii) is itself an outerplanar
-    representative, and rule (i)'s P+σ(S) ≅ P+S is outerplanar iff P+S is.
+    outerplanar, so the P ≅ G - u of rules (ii) and (iv) is itself an
+    outerplanar representative, and rule (i)'s P+σ(S) ≅ P+S is outerplanar
+    iff P+S is. One more rule holds there:
+
+    (iii) Degree 2: |S| <= 2. Proof: every outerplanar graph has a vertex
+        of degree at most 2, and rule (ii) leaves the new vertex with the
+        least degree of P+S, so an outerplanar P+S has |S| <= 2. With
+        |S| <= 1, P+S adds an isolated or a pendant vertex to the
+        outerplanar P and is outerplanar without a test; only |S| = 2 runs
+        `is_outerplanar`.
 
     Every surviving extension is keyed by its canonical bits
     (`_canonical_key`), a complete invariant. Classes are stored as these
@@ -438,20 +459,58 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     for parent in parents:
         adj = parent.neighbor_masks
         degree = [m.bit_count() for m in adj]
-        lowest = [[sum(1 << v for v in cell[:k]) for k in range(len(cell) + 1)]
-                  for cell in _twin_cells(adj)]
-        for parts in product(*lowest):
-            nbrs = sum(parts)
+        # Rule (ii) bounds |S| by the least degree plus one, rule (iii) by 2.
+        cap = min(degree, default=0) + 1
+        if outerplanar:
+            cap = min(cap, 2)
+        # below[k]: the old vertices of degree < k. Up to the cap, below[k]
+        # holds degree k - 1 alone, so rule (ii) asks S to contain it.
+        below = [sum(1 << v for v, d in enumerate(degree) if d < k) for k in range(cap + 2)]
+        for nbrs in _lowest_subsets(_twin_cells(adj), cap):
             size = nbrs.bit_count()
-            if any(d + (nbrs >> i & 1) < size for i, d in enumerate(degree)):
+            if below[size] & ~nbrs:
+                continue
+            # The old vertices that end with the new vertex's degree: those
+            # of degree |S| - 1, all in S now, and those of degree |S| not.
+            ties = below[size] | below[size + 1] & ~nbrs
+            if ties and not _accepts(adj, degree, nbrs, ties):
                 continue
             extra = frozenset((i, new) for i in range(new) if nbrs >> i & 1)
             g = Graph(order, parent.edges | extra)
-            if outerplanar and not is_outerplanar(g):
+            if outerplanar and size == 2 and not is_outerplanar(g):
                 continue
             keys.add(_canonical_key(g))
     return tuple(_graph_from_key(order, key)
                  for key in sorted(keys, key=lambda key: (key.bit_count(), key)))
+
+
+def _lowest_subsets(cells: Sequence[Sequence[int]], cap: int) -> list[int]:
+    """The vertex masks of at most `cap` vertices that meet each cell in its
+    lowest vertices."""
+    found = [0]
+    for cell in cells:
+        prefixes = [0]
+        for v in cell[:cap]:
+            prefixes.append(prefixes[-1] | 1 << v)
+        found = [s | p for s in found for p in prefixes[:cap - s.bit_count() + 1]]
+    return found
+
+
+def _accepts(adj: Sequence[int], degree: Sequence[int], nbrs: int, ties: int) -> bool:
+    """Rule (iv): no old vertex in `ties`, those that end with the new
+    vertex's degree, has a larger neighbour-degree list than the new vertex
+    of P+S, where P has neighbour masks `adj` and degrees `degree`, and S is
+    the mask `nbrs`."""
+    grown = [d + (nbrs >> v & 1) for v, d in enumerate(degree)]
+    size = nbrs.bit_count()
+    mine = sorted(grown[v] for v in _bits_of(nbrs))
+    for u in _bits_of(ties):
+        theirs = [grown[w] for w in _bits_of(adj[u])]
+        if nbrs >> u & 1:
+            theirs.append(size)
+        if sorted(theirs) > mine:
+            return False
+    return True
 
 
 def enumerate_connected_graphs(order: int) -> Iterator[Graph]:

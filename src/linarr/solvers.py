@@ -63,8 +63,9 @@ SOLVER_PLANAR = "planar-prefix"
 # for one Xeon core under CPython 3.11. The crossing-free solver uses
 # MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
 # builds and solves only the connected outerplanar classes (OEIS
-# A111563): 3,783 at order 9, built in about 4 s, with the whole search
-# taking about 10 s; order 10 has 20,074. The claim checker examines one
+# A111563): 3,783 at order 9, built in about 1.6 s, with the whole search
+# taking about 7 s; order 10 has 20,074, built in about 12 s, whose gaps take
+# about 36 s more. The claim checker examines one
 # crossing-free arrangement per orbit of mirroring and twin swaps, so its
 # time follows the number of orbits. A triangle with pendants on one
 # vertex has 2n(n - 2)! arrangements in n(n - 2) orbits, and checking it

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import resource
@@ -334,6 +335,30 @@ class TestExitCodes:
         code, _, err = run(capsys, "minla", str(path))
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_invalid_utf8_is_2(self, capsys, monkeypatch, tmp_path, source):
+        # Both sources are decoded as strict UTF-8, whatever the locale.
+        data = b"a b\n\xff c\n"
+        if source == "file":
+            path = tmp_path / "latin1.edges"
+            path.write_bytes(data)
+            arg = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+            arg = "-"
+        code, out, err = run(capsys, "minla", arg)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: line 2: input is not valid UTF-8\n"
+
+    def test_stdin_bytes_are_utf8(self, capsys, monkeypatch):
+        # The bytes beneath stdin are read, not text decoded by its encoding.
+        text = "\u00e9 b\r\nb c\r\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="latin-1"))
+        code, out, _ = run(capsys, "minla", "-", "--json")
+        assert code == 0
+        assert json.loads(out)["witness"] == "\u00e9,b,c"
 
     def test_unreadable_label_is_2(self, capsys, tmp_path):
         # The witness "a,b,c" could not be read back by `verify`.

@@ -265,9 +265,10 @@ class TestEnumeration:
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
     def test_extensions_keyed_per_order(self, monkeypatch):
-        # The twin-cell and minimum-degree rules leave these one-vertex
-        # extensions to key; without them all 2^(n-1) extensions of every
-        # representative of order n - 1 were keyed (11,290 up to order 7).
+        # The twin-cell, minimum-degree and neighbour-degree rules leave
+        # these one-vertex extensions to key (1,677 up to order 7); without
+        # them all 2^(n-1) extensions of every representative of order n - 1
+        # were keyed (11,290 up to order 7).
         keyed = [0] * 8
         canonical_key = linarr.graph._canonical_key
 
@@ -281,7 +282,7 @@ class TestEnumeration:
         monkeypatch.setattr(linarr.graph, "_canonical_key", counting)
         for n in range(1, 8):
             _all_graph_reps.__wrapped__(n)
-        assert keyed[1:] == [1, 2, 4, 11, 42, 221, 1808]
+        assert keyed[1:] == [1, 2, 4, 11, 39, 192, 1428]
 
     def test_outerplanar_stream_filters_the_full_enumeration(self):
         # Same representatives in the same order, element for element. The
@@ -299,7 +300,7 @@ class TestEnumeration:
 
     def test_outerplanar_extensions_keyed_per_order(self, monkeypatch):
         # Only outerplanar extensions of outerplanar representatives are
-        # keyed: 665 up to order 7, against 2,089 for the full enumeration.
+        # keyed: 520 up to order 7, against 1,677 for the full enumeration.
         keyed = [0] * 9
         canonical_key = linarr.graph._canonical_key
 
@@ -311,7 +312,24 @@ class TestEnumeration:
         monkeypatch.setattr(linarr.graph, "_canonical_key", counting)
         for n in range(1, 9):
             _all_graph_reps.__wrapped__(n, True)
-        assert keyed[1:] == [1, 2, 4, 10, 32, 122, 494, 2034]
+        assert keyed[1:] == [1, 2, 4, 10, 29, 103, 371, 1413]
+
+    def test_outerplanar_stream_holds_random_outerplanar_graphs(self):
+        # Independent of the rules that prune the stream: the canonical form
+        # of any outerplanar graph, here a relabelled random subgraph of a
+        # triangulated polygon, must be one of its order's representatives.
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(5, 9)
+            edges = [e for e in sorted(triangulated_polygon(n, rng)) if rng.random() < 0.8]
+            g = relabeled(make_graph(n, edges), rng)
+            assert canonical_form(g) in _all_graph_reps(n, True), g
+
+    def test_outerplanar_representatives_have_a_vertex_of_degree_two(self):
+        # The fact behind the outerplanar stream's cap |S| <= 2.
+        for n in range(1, 9):
+            for g in _all_graph_reps(n, True):
+                assert min(map(len, g.neighbors)) <= 2, g
 
     def test_order_nine_outerplanar_stream_is_pinned(self):
         # 3,783 connected classes: OEIS A111563.
