@@ -5,7 +5,10 @@ optimum; graphs with no crossing-free arrangement carry no gap. A graph
 has one iff it is outerplanar, so the search walks only the connected
 outerplanar classes, order by order, and reports every graph whose gap
 reaches a threshold. It runs in one process and solves each class only
-when the consumer asks for its report.
+when the consumer asks for its report. The minLA solve comes first; a
+class whose smallest minLA optimum has no crossing has gap 0 and is
+settled from that witness, and only the other classes run the
+crossing-free optimum search.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, is_planar_arrangement
 from .errors import ValidationError
 from .graph import Graph, enumerate_connected_outerplanar_graphs
 from .solvers import MAX_ORDER_SEARCH, _twin_sorted_optima, solve_minla_dp
@@ -40,15 +43,30 @@ class GapReport:
 def compute_gap(g: Graph) -> GapReport:
     """Run both exact solvers on one graph.
 
-    A graph has a crossing-free arrangement iff it is outerplanar (Bernhart
-    & Kainen 1979), and the crossing-free solver answers None, after its
-    linear-time outerplanarity test and before any search, exactly when it
-    is not; so that answer is the report's `outerplanar` flag. The
-    crossing-free optima are not listed: the smallest is the least
-    twin-sorted one, so a graph with too many optima for
-    `solve_planar_minla`, such as a 12-vertex star, is answered too.
+    The subset DP runs first. Its witness w is the smallest minLA optimum,
+    and when w has no crossing the crossing-free search is skipped: w
+    answers both variants, with gap 0. This is exact:
+    - minla_opt <= planar_opt <= cost(w) = minla_opt.
+    - So the crossing-free optima are exactly the minLA optima with no
+      crossing, and w is the smallest of them. That is also what the
+      search returns, the least twin-sorted optimum that precedes its
+      mirror.
+    - A graph with a crossing-free arrangement is outerplanar (Bernhart &
+      Kainen 1979).
+
+    Otherwise the crossing-free optimum search runs. It answers None, after
+    its linear-time outerplanarity test and before any search, exactly when
+    the graph is not outerplanar. So `outerplanar` is set either from a
+    crossing-free witness or from the search. The crossing-free optima are
+    not listed: the smallest is the least twin-sorted one, so a graph with
+    too many optima for `solve_planar_minla`, such as a 12-vertex star, is
+    answered too.
     """
     minla = solve_minla_dp(g)
+    if is_planar_arrangement(g, minla.best):
+        return GapReport(graph=g, minla_opt=minla.optimal_cost,
+                         planar_opt=minla.optimal_cost, gap=0, minla_witness=minla.best,
+                         planar_witness=minla.best, outerplanar=True)
     planar = _twin_sorted_optima(g)
     outerplanar = planar is not None
     if planar is None:

@@ -51,7 +51,11 @@ def normalize_edge(e: Iterable[int]) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """An immutable simple graph: a vertex count plus a set of unordered edges."""
+    """An immutable simple graph: a vertex count plus a set of unordered edges.
+
+    `edges` may be given as any iterable of vertex pairs; each is checked and
+    stored once as a sorted tuple, and duplicates collapse.
+    """
 
     order: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
@@ -103,8 +107,12 @@ class Graph:
 
 
 def make_graph(order: int, edges: Iterable[Iterable[int]] = ()) -> Graph:
-    """Build a validated graph; duplicate edges collapse, self-loops raise."""
-    return Graph(order, frozenset(normalize_edge(e) for e in edges))
+    """Build a validated graph; duplicate edges collapse, self-loops raise.
+
+    `Graph` normalises and checks each pair itself, so the raw pairs are
+    handed over as they are.
+    """
+    return Graph(order, edges)
 
 
 def pentagon_with_chord() -> Graph:

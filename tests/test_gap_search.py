@@ -22,7 +22,7 @@ from linarr import (
     search_gap_graphs,
 )
 import linarr.gap_search
-from linarr.solvers import MAX_ORDER_SEARCH, _subset_tables
+from linarr.solvers import MAX_ORDER_SEARCH, _subset_tables, solve_minla_dp
 
 DIAMOND = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -45,6 +45,53 @@ class TestComputeGap:
         _subset_tables.cache_clear()
         compute_gap(cycle_graph(14))
         assert _subset_tables.cache_info().misses == 1
+
+    def test_subset_tables_built_once_when_the_search_runs(self, pentagon):
+        # The pentagon with a chord has a gap, so the crossing-free search
+        # runs after the minLA solve and reuses its tables.
+        _subset_tables.cache_clear()
+        assert compute_gap(pentagon).gap == 1
+        assert _subset_tables.cache_info().misses == 1
+
+    def test_search_runs_only_when_the_minla_witness_crosses(self, monkeypatch):
+        # A class whose smallest minLA optimum has no crossing is settled
+        # with gap 0 from that witness; every other class is searched.
+        searched = []
+        search = linarr.gap_search._twin_sorted_optima
+
+        def counted(g):
+            searched.append(g)
+            return search(g)
+
+        monkeypatch.setattr(linarr.gap_search, "_twin_sorted_optima", counted)
+        settled = []
+        for n in range(1, 8):
+            graphs = list(enumerate_connected_outerplanar_graphs(n))
+            crossing = [g for g in graphs
+                        if not is_planar_arrangement(g, solve_minla_dp(g).best)]
+            before = len(searched)
+            reports = [compute_gap(g) for g in graphs]
+            assert searched[before:] == crossing
+            for report in reports:
+                if report.graph not in crossing:
+                    assert report.gap == 0 and report.outerplanar
+                    assert report.planar_witness == report.minla_witness
+            settled.append(len(graphs) - len(crossing))
+        assert settled == [1, 1, 2, 4, 8, 22, 60]
+        assert len(searched) == 142
+
+    def test_gap_zero_with_a_crossing_minla_witness(self):
+        # The 4-cycle 1-3-2-4 with a pendant 0 on 4: its smallest minLA
+        # optimum crosses, so the search runs and finds the same cost with
+        # another witness.
+        g = make_graph(5, [(0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
+        report = compute_gap(g)
+        assert report.minla_opt == 7
+        assert report.minla_witness.positions == (1, 3, 4, 5, 2)
+        assert not is_planar_arrangement(g, report.minla_witness)
+        assert report.planar_opt == 7 and report.gap == 0
+        assert report.planar_witness.positions == (1, 3, 5, 4, 2)
+        assert is_planar_arrangement(g, report.planar_witness)
 
     def test_k4_has_no_planar_optimum(self):
         report = compute_gap(complete_graph(4))

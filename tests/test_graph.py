@@ -126,6 +126,18 @@ class TestMakeGraph:
         with pytest.raises(ValidationError):
             make_graph(-1, [])
 
+    def test_raw_pairs_and_error_texts(self):
+        # Lists, reversed pairs and duplicates are accepted, and the errors
+        # keep their text.
+        g = make_graph(4, [[2, 0], [0, 2], (3, 1), [1, 3]])
+        assert g.edges == frozenset({(0, 2), (1, 3)})
+        assert g.sorted_edges == ((0, 2), (1, 3))
+        with pytest.raises(ValidationError, match=r"^self-loop on vertex 2 is not a valid edge$"):
+            make_graph(3, [[0, 1], [2, 2]])
+        with pytest.raises(ValidationError,
+                           match=r"^edge \(1, 3\) has an endpoint outside 0\.\.2$"):
+            make_graph(3, [[3, 1]])
+
 
 class TestIsomorphism:
     def test_identity(self, pentagon):

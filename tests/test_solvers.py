@@ -555,9 +555,15 @@ class TestTwinQuotient:
                     solve_planar_minla(star, dedup_reversals=dedup)
 
     def test_gap_witness_is_the_smallest_optimum(self):
+        # Also where compute_gap settles the class from the minLA witness
+        # and never runs the crossing-free search.
         for n in range(1, 9):
             for g in enumerate_connected_outerplanar_graphs(n):
-                assert compute_gap(g).planar_witness == solve_planar_minla(g, True).best
+                report = compute_gap(g)
+                planar = solve_planar_minla(g, True)
+                assert report.planar_witness == planar.best
+                assert report.planar_opt == planar.optimal_cost
+                assert report.gap == planar.optimal_cost - report.minla_opt
 
     def test_gap_answers_the_twelve_star(self):
         # 2 * 11! crossing-free optima, far more than MAX_PLANAR_WITNESSES;
