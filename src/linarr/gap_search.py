@@ -4,22 +4,38 @@ The gap of a graph is its crossing-free optimum minus its unconstrained
 optimum; graphs with no crossing-free arrangement carry no gap. A graph
 has one iff it is outerplanar, so the search walks only the connected
 outerplanar classes, order by order, and reports every graph whose gap
-reaches a threshold. It runs in one process and solves each class only
-when the consumer asks for its report. The minLA solve comes first; a
-class whose smallest minLA optimum has no crossing has gap 0 and is
-settled from that witness, and only the other classes run the
-crossing-free optimum search.
+reaches a threshold. It runs in one process. The subset DP's tables are
+built for a chunk of classes at a time in one packed pass, and each class
+is solved only when the consumer asks for its report, with its tables
+handed to both solves. The minLA solve comes first; a class whose
+smallest minLA optimum has no crossing has gap 0 and is settled from that
+witness, and only the other classes run the crossing-free optimum search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, is_planar_arrangement
 from .errors import ValidationError
-from .graph import Graph, enumerate_connected_outerplanar_graphs
-from .solvers import MAX_ORDER_SEARCH, _twin_sorted_optima, solve_minla_dp
+from .graph import Graph, enumerate_connected_outerplanar_graphs, is_outerplanar
+from .solvers import (
+    MAX_ORDER_DP,
+    MAX_ORDER_SEARCH,
+    SOLVER_DP,
+    _batched_subset_tables,
+    _check_order,
+    _minla_dp,
+    _subset_tables,
+    _twin_sorted_optima,
+)
+
+# Classes whose subset tables are built in one packed pass. Larger chunks
+# amortise the interpreted steps over more lanes but hold more tables at
+# once: at order 9 a chunk of 512 peaks at about 2 MB of packed tables.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -43,6 +59,23 @@ class GapReport:
 def compute_gap(g: Graph) -> GapReport:
     """Run both exact solvers on one graph.
 
+    The subset DP's tables are built once and serve both solves. A graph
+    that is not outerplanar has no crossing-free arrangement, so after the
+    linear-time outerplanarity test only the minLA solve runs; every other
+    graph gets the same report as in the gap search (`_gap_report`).
+    """
+    _check_order(g, MAX_ORDER_DP, SOLVER_DP)
+    cut, ahead = _subset_tables(g)
+    if is_outerplanar(g):
+        return _gap_report(g, cut, ahead)
+    minla = _minla_dp(g, cut, ahead)
+    return GapReport(graph=g, minla_opt=minla.optimal_cost, planar_opt=None, gap=None,
+                     minla_witness=minla.best, planar_witness=None, outerplanar=False)
+
+
+def _gap_report(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> GapReport:
+    """The report of an outerplanar graph, from its subset tables.
+
     The subset DP runs first. Its witness w is the smallest minLA optimum,
     and when w has no crossing the crossing-free search is skipped: w
     answers both variants, with gap 0. This is exact:
@@ -51,41 +84,40 @@ def compute_gap(g: Graph) -> GapReport:
       crossing, and w is the smallest of them. That is also what the
       search returns, the least twin-sorted optimum that precedes its
       mirror.
-    - A graph with a crossing-free arrangement is outerplanar (Bernhart &
-      Kainen 1979).
 
-    Otherwise the crossing-free optimum search runs. It answers None, after
-    its linear-time outerplanarity test and before any search, exactly when
-    the graph is not outerplanar. So `outerplanar` is set either from a
-    crossing-free witness or from the search. The crossing-free optima are
-    not listed: the smallest is the least twin-sorted one, so a graph with
-    too many optima for `solve_planar_minla`, such as a 12-vertex star, is
-    answered too.
+    Otherwise the crossing-free optimum search runs. The crossing-free
+    optima are not listed: the smallest is the least twin-sorted one, so a
+    graph with too many optima for `solve_planar_minla`, such as a
+    12-vertex star, is answered too.
     """
-    minla = solve_minla_dp(g)
+    minla = _minla_dp(g, cut, ahead)
     if is_planar_arrangement(g, minla.best):
         return GapReport(graph=g, minla_opt=minla.optimal_cost,
                          planar_opt=minla.optimal_cost, gap=0, minla_witness=minla.best,
                          planar_witness=minla.best, outerplanar=True)
-    planar = _twin_sorted_optima(g)
-    outerplanar = planar is not None
-    if planar is None:
-        planar_opt = None
-        gap = None
-        planar_witness = None
-    else:
-        planar_opt, optima, _, _ = planar
-        gap = planar_opt - minla.optimal_cost
-        planar_witness = Arrangement._trusted(min(optima))
+    planar_opt, optima, _, _ = _twin_sorted_optima(g, ahead)
     return GapReport(
         graph=g,
         minla_opt=minla.optimal_cost,
         planar_opt=planar_opt,
-        gap=gap,
+        gap=planar_opt - minla.optimal_cost,
         minla_witness=minla.best,
-        planar_witness=planar_witness,
-        outerplanar=outerplanar,
+        planar_witness=Arrangement._trusted(min(optima)),
+        outerplanar=True,
     )
+
+
+def _reports(graphs: Iterable[Graph]) -> Iterator[GapReport]:
+    """`_gap_report` of each of a stream of outerplanar graphs of one order.
+
+    The subset tables are built _CHUNK graphs at a time in one packed pass
+    (`_batched_subset_tables`), and each graph is solved only when its
+    report is asked for.
+    """
+    graphs = iter(graphs)
+    while chunk := list(islice(graphs, _CHUNK)):
+        for g, (cut, ahead) in zip(chunk, _batched_subset_tables(chunk)):
+            yield _gap_report(g, cut, ahead)
 
 
 def iter_gap_reports(max_order: int,
@@ -96,13 +128,14 @@ def iter_gap_reports(max_order: int,
     Classes come from `enumerate_connected_outerplanar_graphs` and
     class_index counts within that stream, so every report has a
     crossing-free optimum; the other connected classes have no gap and are
-    never built. Emission is incremental per class and deterministic: each
-    class is solved only when its report is asked for, so a long run
-    interrupted at (order, index) can be resumed by passing that pair as
-    `start`. Orders above MAX_ORDER_SEARCH, and a start order below 1 or a
-    negative start index, raise ValidationError before any enumeration. A
-    start past max_order or past the last class of its order yields
-    nothing for it.
+    never built. Emission is deterministic and incremental: the subset
+    tables are built for up to _CHUNK classes at a time, and each class is
+    solved only when its report is asked for. A long run interrupted at
+    (order, index) can be resumed by passing that pair as `start`: a chunk
+    then begins at that class, and no class before it is tabled or solved.
+    Orders above MAX_ORDER_SEARCH, and a start order below 1 or a negative
+    start index, raise ValidationError before any enumeration. A start past
+    max_order or past the last class of its order yields nothing for it.
     """
     if max_order < 1:
         raise ValidationError(f"max_order must be >= 1, got {max_order}")
@@ -115,9 +148,9 @@ def iter_gap_reports(max_order: int,
         raise ValidationError(f"start must be (order >= 1, index >= 0), got {start}")
     for order in range(start_order, max_order + 1):
         first = start_index if order == start_order else 0
-        for index, g in enumerate(enumerate_connected_outerplanar_graphs(order)):
-            if index >= first:
-                yield order, index, compute_gap(g)
+        classes = islice(enumerate_connected_outerplanar_graphs(order), first, None)
+        for index, report in enumerate(_reports(classes), first):
+            yield order, index, report
 
 
 def search_gap_graphs(max_order: int, min_gap: int) -> list[GapReport]:

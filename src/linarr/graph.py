@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -41,9 +42,14 @@ Edge = tuple[int, int]
 
 
 def normalize_edge(e: Iterable[int]) -> Edge:
-    """Return the edge as a sorted (u, v) tuple, rejecting self-loops."""
+    """Return the edge as a sorted (u, v) tuple, rejecting self-loops and
+    endpoints that are not integers (`operator.index`), such as 1.7 or "2"."""
     u, v = e
-    u, v = int(u), int(v)
+    try:
+        u, v = index(u), index(v)
+    except TypeError:
+        raise ValidationError(
+            f"edge ({u!r}, {v!r}) has an endpoint that is not an integer") from None
     if u == v:
         raise ValidationError(f"self-loop on vertex {u} is not a valid edge")
     return (u, v) if u < v else (v, u)
@@ -61,6 +67,10 @@ class Graph:
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "order", index(self.order))
+        except TypeError:
+            raise ValidationError(f"graph order must be an integer, got {self.order!r}") from None
         if self.order < 0:
             raise ValidationError(f"graph order must be nonnegative, got {self.order}")
         norm = set()

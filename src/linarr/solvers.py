@@ -36,14 +36,16 @@ both claims then hold vacuously.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
 ValidationError instead of running for hours; the crossing-free solver
 builds the subset DP's tables and shares its limit, and it refuses to list
-more than MAX_PLANAR_WITNESSES optima.
+more than MAX_PLANAR_WITNESSES optima. The gap search builds those tables
+for many classes of one order in one packed pass
+(`_batched_subset_tables`) and hands each class's tables to both solves.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -64,8 +66,8 @@ SOLVER_PLANAR = "planar-prefix"
 # MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
 # builds and solves only the connected outerplanar classes (OEIS
 # A111563): 3,783 at order 9, built in about 1.6 s, with the whole search
-# taking about 7 s; order 10 has 20,074, built in about 12 s, whose gaps take
-# about 36 s more. The claim checker examines one
+# taking about 5.5 s; order 10 has 20,074, built in about 13 s, whose gaps
+# take about 22 s more. The claim checker examines one
 # crossing-free arrangement per orbit of mirroring and twin swaps, so its
 # time follows the number of orbits. A triangle with pendants on one
 # vertex has 2n(n - 2)! arrangements in n(n - 2) orbits, and checking it
@@ -224,7 +226,6 @@ def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     return _finalize(incumbent, [witness], explored, SOLVER_BNB, dedup_reversals)
 
 
-@lru_cache(maxsize=1)
 def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
     """The subset DP's tables over vertex-set masks: cut[S] = |δ(S)|, and
     ahead[S], the least sum of prefix cuts over the orderings of S, cut[S]
@@ -232,9 +233,9 @@ def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
     from a placed set S: the least sum of cut[T] over the prefixes T ⊇ S
     that a completion of S passes through.
 
-    The tables of the last graph are cached, so `compute_gap`'s minLA and
-    crossing-free solves build them once. Callers share the cached lists:
-    they may read them or copy them (`[::-1]`), never change them.
+    Nothing is cached: `compute_gap` builds the tables once and hands them
+    to both of its solves, and the gap search builds them a chunk of
+    classes at a time (`_batched_subset_tables`).
     """
     size = 1 << g.order
     cut = [0] * size
@@ -255,6 +256,73 @@ def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
                 best = c
         ahead[s] = best + cut[s]
     return cut, ahead
+
+
+def _batched_subset_tables(graphs: Sequence[Graph]) -> Iterator[tuple[list[int], list[int]]]:
+    """`_subset_tables` of each of a non-empty list of graphs of one order,
+    built in one pass, in the order of the list.
+
+    Each table entry is one Python int that packs a 16-bit lane per graph,
+    so one interpreted step serves every graph. For cut, each vertex v adds
+    the packed 0/1 lanes of its edges to lower vertices over the subsets
+    below v's bit, lowest bit first, which counts |N(v) ∩ S| per lane; then
+    cut[S + v] = cut[S] + deg(v) - 2|N(v) ∩ S|. Every lane of that sum and
+    difference is a cut size, so it is non-negative and the plain int
+    arithmetic never carries or borrows across lanes. For ahead, the
+    minimum over the predecessors is taken lane by lane: with H the top bit
+    of every lane, t = ((a | H) - b) & H keeps that bit in each lane where
+    a >= b, M = t - (t >> 15) sets the 15 bits below it, and
+    a ^ ((a ^ b) & M) is the lane-wise minimum. That needs every entry
+    below 2**15: an entry is a sum of at most n prefix cuts, each at most
+    m, and n·m <= 17·136 = 2,312 up to MAX_ORDER_DP. Each table is unpacked
+    through `int.to_bytes` into one memoryview of 16-bit entries, in native
+    byte order, so that graph j has entry j of every state on either byte
+    order, and each graph's lists are a strided slice of it, taken when
+    that graph's tables are asked for.
+
+    On one graph this is 2.1-2.7 times slower than `_subset_tables` (cycles
+    and complete graphs of orders 9 to 17), so only the gap search's class
+    stream uses it.
+    """
+    count = len(graphs)
+    n = graphs[0].order
+    width = 2 * count
+    # The packed 0/1 adjacency: entry (v * n + u) * count + j of `flags`,
+    # in native byte order, is 1 iff graph j has the edge u-v.
+    flags = bytearray(width * n * n)
+    entries = memoryview(flags).cast("H")
+    for j, g in enumerate(graphs):
+        for u, v in g.sorted_edges:
+            entries[(u * n + v) * count + j] = entries[(v * n + u) * count + j] = 1
+    size = 1 << n
+    cut = [0] * size
+    for v in range(n):
+        row = [int.from_bytes(flags[at:at + width], sys.byteorder)
+               for at in range(v * n * width, (v + 1) * n * width, width)]
+        bit, deg = 1 << v, sum(row)
+        inside = [0] * bit
+        cut[bit] = deg
+        for rest in range(1, bit):
+            low = rest & -rest
+            inside[rest] = x = inside[rest ^ low] + row[low.bit_length() - 1]
+            cut[bit | rest] = cut[rest] + deg - 2 * x
+    high = int.from_bytes(b"\0\x80" * count, "little")
+    ahead = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        m = s ^ low
+        best = ahead[m]
+        while m:
+            low = m & -m
+            m ^= low
+            a = ahead[s ^ low]
+            t = ((a | high) - best) & high
+            best = a ^ ((a ^ best) & (t - (t >> 15)))
+        ahead[s] = best + cut[s]
+    cut_view, ahead_view = (
+        memoryview(b"".join(x.to_bytes(width, sys.byteorder) for x in table)).cast("H")
+        for table in (cut, ahead))
+    return ((cut_view[j::count].tolist(), ahead_view[j::count].tolist()) for j in range(count))
 
 
 def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
@@ -281,10 +349,15 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     that minimum. `explored` is the number of subset states, 2**n.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_DP)
+    return _minla_dp(g, *_subset_tables(g), dedup_reversals)
+
+
+def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int],
+              dedup_reversals: bool = False) -> SolveResult:
+    """`solve_minla_dp` from the graph's subset tables (`_subset_tables`)."""
     n = g.order
     full = (1 << n) - 1
     size = full + 1
-    cut, ahead = _subset_tables(g)
     opt = ahead[full]
     togo = ahead[::-1]
     weight = [(n + 1) ** (n - 1 - v) for v in range(n)]
@@ -557,34 +630,34 @@ def _twin_cells_off(g: Graph, fixed: int) -> list[int]:
             if c.bit_count() > 1]
 
 
-def _twin_sorted_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
-    """The crossing-free optimum up to twin swaps and reversal, or None if g
-    has none.
+def _twin_sorted_optima(g: Graph, ahead: Sequence[int]
+                        ) -> tuple[int, list[tuple[int, ...]], int, list[int]]:
+    """The crossing-free optimum of an outerplanar graph up to twin swaps
+    and reversal, searched with the cost-to-go from its subset table
+    `ahead` (`_subset_tables`).
 
     Returns (optimum, the twin-sorted optima that precede their mirrors, as
     position tuples, explored, the twin cells the search was restricted
     by). Each optimum stands for its orbit under the permutations inside
     the cells; the orbit's smallest member is the twin-sorted one, and the
     smaller member of a mirror pair is kept, so the smallest optimum is the
-    least of them. Checks the order limit, and answers a graph that is not
-    outerplanar before any table is built.
+    least of them. The callers check the order limit and outerplanarity,
+    and the class stream of the gap search needs no test, since it builds
+    outerplanar graphs only. The search then always reaches a leaf: an
+    outerplanar graph has a crossing-free arrangement (Bernhart & Kainen
+    1979), so it has crossing-free optima, and the search reaches the
+    orbit of each.
     """
-    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
-    if not is_outerplanar(g):
-        return None
     cells = _twin_cells_off(g, 3)
-    incumbent: int | None = None
+    incumbent = math.inf
     optima: list[tuple[int, ...]] = []
     explored = 0
-    togo = _subset_tables(g)[1][::-1]
-    for c, positions in _crossing_free_search(g, cells, togo):
+    for c, positions in _crossing_free_search(g, cells, ahead[::-1]):
         explored += 1
-        if incumbent is None or c < incumbent:
+        if c < incumbent:
             incumbent = c
             optima = []
         optima.append(positions)
-    if incumbent is None:
-        return None
     return incumbent, optima, explored, cells
 
 
@@ -628,10 +701,10 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
     other graph gets None from the linear-time `is_outerplanar` before any
     table is built or any prefix searched.
     """
-    found = _twin_sorted_optima(g)
-    if found is None:
+    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
+    if not is_outerplanar(g):
         return None
-    optimum, optima, explored, cells = found
+    optimum, optima, explored, cells = _twin_sorted_optima(g, _subset_tables(g)[1])
     mirrored = not dedup_reversals and g.order >= 2
     total = 2 * len(optima) if mirrored else len(optima)
     for cell in cells:

@@ -22,7 +22,7 @@ from linarr import (
     search_gap_graphs,
 )
 import linarr.gap_search
-from linarr.solvers import MAX_ORDER_SEARCH, _subset_tables, solve_minla_dp
+from linarr.solvers import MAX_ORDER_SEARCH, solve_minla_dp
 
 DIAMOND = make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -40,18 +40,28 @@ class TestComputeGap:
         assert report.gap == 0
         assert report.minla_opt == report.planar_opt == 4
 
-    def test_subset_tables_built_once(self):
-        # Both solvers run on an outerplanar graph and share one table build.
-        _subset_tables.cache_clear()
-        compute_gap(cycle_graph(14))
-        assert _subset_tables.cache_info().misses == 1
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        built = []
+        build = linarr.gap_search._subset_tables
 
-    def test_subset_tables_built_once_when_the_search_runs(self, pentagon):
+        def counted(g):
+            built.append(g)
+            return build(g)
+
+        monkeypatch.setattr(linarr.gap_search, "_subset_tables", counted)
+        return built
+
+    def test_subset_tables_built_once(self, table_builds):
+        # Both solvers run on an outerplanar graph and share one table build.
+        compute_gap(cycle_graph(14))
+        assert len(table_builds) == 1
+
+    def test_subset_tables_built_once_when_the_search_runs(self, pentagon, table_builds):
         # The pentagon with a chord has a gap, so the crossing-free search
         # runs after the minLA solve and reuses its tables.
-        _subset_tables.cache_clear()
         assert compute_gap(pentagon).gap == 1
-        assert _subset_tables.cache_info().misses == 1
+        assert len(table_builds) == 1
 
     def test_search_runs_only_when_the_minla_witness_crosses(self, monkeypatch):
         # A class whose smallest minLA optimum has no crossing is settled
@@ -59,26 +69,25 @@ class TestComputeGap:
         searched = []
         search = linarr.gap_search._twin_sorted_optima
 
-        def counted(g):
+        def counted(g, ahead):
             searched.append(g)
-            return search(g)
+            return search(g, ahead)
 
         monkeypatch.setattr(linarr.gap_search, "_twin_sorted_optima", counted)
-        settled = []
-        for n in range(1, 8):
-            graphs = list(enumerate_connected_outerplanar_graphs(n))
-            crossing = [g for g in graphs
-                        if not is_planar_arrangement(g, solve_minla_dp(g).best)]
-            before = len(searched)
-            reports = [compute_gap(g) for g in graphs]
-            assert searched[before:] == crossing
-            for report in reports:
-                if report.graph not in crossing:
-                    assert report.gap == 0 and report.outerplanar
-                    assert report.planar_witness == report.minla_witness
-            settled.append(len(graphs) - len(crossing))
+        entries = list(iter_gap_reports(7))
+        crossing = [r.graph for _, _, r in entries
+                    if not is_planar_arrangement(r.graph, solve_minla_dp(r.graph).best)]
+        assert searched == crossing
+        settled = [0] * 7
+        for order, _, report in entries:
+            if report.graph not in crossing:
+                assert report.gap == 0 and report.outerplanar
+                assert report.planar_witness == report.minla_witness
+                settled[order - 1] += 1
         assert settled == [1, 1, 2, 4, 8, 22, 60]
         assert len(searched) == 142
+        # compute_gap, with the one-graph tables, gives the same reports.
+        assert [compute_gap(r.graph) for _, _, r in entries] == [r for _, _, r in entries]
 
     def test_gap_zero_with_a_crossing_minla_witness(self):
         # The 4-cycle 1-3-2-4 with a pendant 0 on 4: its smallest minLA
@@ -218,18 +227,50 @@ class TestIterReports:
             assert list(iter_gap_reports(4, start=(3, index))) == order_four
 
     def test_each_class_is_solved_when_asked_for(self, monkeypatch):
-        calls = []
-        solve = linarr.gap_search.compute_gap
+        calls, tabled = [], []
+        solve = linarr.gap_search._gap_report
+        build = linarr.gap_search._batched_subset_tables
 
-        def counted(g):
+        def counted(g, cut, ahead):
             calls.append(g)
-            return solve(g)
+            return solve(g, cut, ahead)
 
-        monkeypatch.setattr(linarr.gap_search, "compute_gap", counted)
-        reports = iter_gap_reports(4, start=(4, 0))
+        def kernel(graphs):
+            tabled.extend(graphs)
+            return build(graphs)
+
+        monkeypatch.setattr(linarr.gap_search, "_gap_report", counted)
+        monkeypatch.setattr(linarr.gap_search, "_batched_subset_tables", kernel)
+        reports = iter_gap_reports(4, start=(4, 2))
         order, index, report = next(reports)
-        assert (order, index) == (4, 0)
+        assert (order, index) == (4, 2)
         assert calls == [report.graph]
+        # No class before the start is tabled.
+        assert tabled == list(enumerate_connected_outerplanar_graphs(4))[2:]
+
+    def test_resume_in_small_chunks_matches_full_run(self, monkeypatch):
+        # With chunks of 3 classes, starts at a chunk boundary of the
+        # uninterrupted run, one before it and one after it: each resumed
+        # run starts a chunk at its start and equals the tail of the
+        # uninterrupted run in every report field.
+        whole = list(iter_gap_reports(7))
+        monkeypatch.setattr(linarr.gap_search, "_CHUNK", 3)
+        full = list(iter_gap_reports(7))
+        assert full == whole and len(full) == 240
+        build = linarr.gap_search._batched_subset_tables
+        for start in [(7, 0), (7, 2), (7, 3), (7, 4), (7, 170), (7, 171), (6, 44), (6, 45)]:
+            first = []
+
+            def kernel(graphs):
+                first.append(list(graphs))
+                return build(graphs)
+
+            monkeypatch.setattr(linarr.gap_search, "_batched_subset_tables", kernel)
+            resumed = list(iter_gap_reports(7, start=start))
+            assert resumed == [e for e in full if (e[0], e[1]) >= start], start
+            order, index = start
+            assert first[0] == [r.graph for o, i, r in full
+                                if o == order and index <= i < index + 3], start
 
     @pytest.mark.parametrize("raw", ["2", "two", "1.5", "", "0", "-3"])
     def test_threads_variable_is_ignored(self, monkeypatch, raw):

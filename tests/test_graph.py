@@ -138,6 +138,21 @@ class TestMakeGraph:
                            match=r"^edge \(1, 3\) has an endpoint outside 0\.\.2$"):
             make_graph(3, [[3, 1]])
 
+    def test_non_integer_endpoint_rejected(self):
+        # A float is not truncated and a numeric string is not parsed.
+        with pytest.raises(ValidationError,
+                           match=r"^edge \(0, 1\.7\) has an endpoint that is not an integer$"):
+            make_graph(3, [(0, 1.7)])
+        with pytest.raises(ValidationError,
+                           match=r"^edge \('0', '2'\) has an endpoint that is not an integer$"):
+            make_graph(3, [("0", "2")])
+
+    def test_non_integer_order_rejected(self):
+        for order in (2.5, "3", None):
+            with pytest.raises(ValidationError,
+                               match=r"^graph order must be an integer, got "):
+                linarr.graph.Graph(order)
+
 
 class TestIsomorphism:
     def test_identity(self, pentagon):

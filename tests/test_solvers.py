@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 import time
 from itertools import islice, permutations, product
 
@@ -50,7 +51,9 @@ from linarr.solvers import (
     MAX_ORDER_DP,
     MAX_ORDER_EXHAUSTIVE,
     MAX_PLANAR_WITNESSES,
+    _batched_subset_tables,
     _crossing_free_search,
+    _subset_tables,
 )
 
 # sha256 over the graphs of _all_graph_reps(7) of repr([a.positions for a in
@@ -197,6 +200,33 @@ class TestSubsetDP:
         digest = hashlib.sha256(
             repr([(r.optimal_cost, r.best.positions) for r in results]).encode())
         assert digest.hexdigest() == DP_ORDER7_SHA256
+
+
+class TestBatchedTables:
+    """The packed kernel of the gap search against the per-graph tables."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_outerplanar_class_in_chunks(self, n):
+        gs = list(enumerate_connected_outerplanar_graphs(n))
+        for at in range(0, len(gs), 300):
+            chunk = gs[at:at + 300]
+            assert list(_batched_subset_tables(chunk)) == [_subset_tables(g) for g in chunk]
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_dense_batches(self, n):
+        # Complete graphs, whose lanes hold the largest values, next to
+        # random graphs, a path and an edgeless graph of the same order.
+        rng = random.Random(n)
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        batch = [complete_graph(n), make_graph(n), path_graph(n)]
+        batch += [make_graph(n, [e for e in pairs if rng.random() < p])
+                  for p in (0.3, 0.6, 0.9) for _ in range(2)]
+        assert list(_batched_subset_tables(batch)) == [_subset_tables(g) for g in batch]
+
+    def test_order_one_and_one_graph_batches(self):
+        assert list(_batched_subset_tables([make_graph(1)])) == [([0, 0], [0, 0])]
+        pentagon = cycle_graph(5)
+        assert list(_batched_subset_tables([pentagon])) == [_subset_tables(pentagon)]
 
 
 class UnreadableGraph(Graph):
