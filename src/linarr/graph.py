@@ -5,27 +5,29 @@ sorted tuples. The module also provides exact isomorphism testing,
 enumeration of connected graphs up to isomorphism, and linear-time
 outerplanarity recognition.
 
-Isomorphism rests on one backtracking search for the minimum adjacency key
-over vertex orderings. Unrestricted, it gives the canonical key, whose bits
-spell the canonical form's adjacency row by row: the search returns the key
-alone, enumeration keys every extension it builds by it and stores each
-class as its key, and a key decodes into the canonical form
-(`_graph_from_key`). Restricted to orderings that follow a colour
-refinement of the graph, it gives a complete invariant that is much
-cheaper to compute on larger graphs, and `are_isomorphic` compares these
-invariants. The search is set-first: a minimum key starts with a maximum
-independent set of the lowest colour class, whose rows are zero in any
-order, so the search places each such set at once as one unordered cell
-and orders it lazily, splitting it by each later vertex's neighbours
-(`_min_key` gives the proofs). Enumeration adds one vertex to each smaller
-representative and, before keying, skips the extensions that twin cells, a
-minimum-degree argument or a comparison of neighbour degrees show to be
-covered by another extension. The same engine can keep only outerplanar
-graphs, extending outerplanar representatives alone by at most two edges,
-since every outerplanar graph has a vertex of degree at most 2; that
-stream feeds the gap search. Everything here is exact; enumeration of all
-graphs is intended for orders up to 8 (12,346 classes), of outerplanar
-ones up to 9 (5,291 classes).
+Isomorphism rests on one search for the minimum adjacency key over vertex
+orderings, run on neighbour masks. Unrestricted, it gives the canonical
+key, whose bits spell the canonical form's adjacency row by row: the
+search returns the key alone, enumeration keys the masks of every
+extension it builds by it and stores each class as its key, and a key
+decodes into the canonical form (`_graph_from_key`). Restricted to
+orderings that follow a colour refinement of the graph, it gives a
+complete invariant that is much cheaper to compute on larger graphs, and
+`are_isomorphic` compares these invariants. The search is set-first: a
+minimum key starts with a maximum independent set of the lowest colour
+class, whose rows are zero in any order, so the search places each such
+set at once as one unordered cell and orders it lazily, splitting it by
+each later vertex's neighbours. It runs level by level and expands only
+the partial orderings whose rows so far are the least (`_min_key` gives
+the proofs). Enumeration adds one vertex to each smaller representative
+and, before keying, skips the extensions that twin cells, a minimum-degree
+argument or a comparison of neighbour degrees show to be covered by
+another extension. The same engine can keep only outerplanar graphs,
+extending outerplanar representatives alone by at most two edges, since
+every outerplanar graph has a vertex of degree at most 2; that stream
+feeds the gap search. Everything here is exact; enumeration of all graphs
+is intended for orders up to 8 (12,346 classes), of outerplanar ones up to
+9 (5,291 classes).
 """
 
 from __future__ import annotations
@@ -174,8 +176,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # The canonical key of a graph is the minimum, over all vertex orderings, of
 # the adjacency bits read in prefix order: placing vertices one by one, each
 # new vertex appends its adjacency bits to the already-placed ones. Any fixed
-# linearization of the adjacency matrix works; this one lets the backtracking
-# search prune an ordering as soon as its prefix exceeds the best known.
+# linearization of the adjacency matrix works; this one lets the search
+# drop an ordering as soon as its prefix exceeds another's.
 
 
 def _twin_masks(adj: Sequence[int]) -> list[int]:
@@ -205,10 +207,11 @@ def _twin_cells(adj: Sequence[int]) -> list[list[int]]:
     return [_bits_of(mask) for mask in dict.fromkeys(_twin_masks(adj))]
 
 
-def _min_key(g: Graph, colour: Sequence[int]) -> int:
+def _min_key(adj: Sequence[int], colour: Sequence[int]) -> int:
     """Minimum prefix-bits key over the vertex orderings that list vertices
-    by ascending colour. The key spells the graph relabelled onto a
-    minimising ordering (`_graph_from_key`), so no ordering is kept.
+    by ascending colour, for the graph with neighbour masks `adj`. The key
+    spells the graph relabelled onto a minimising ordering
+    (`_graph_from_key`), so no ordering is kept.
 
     The search is set-first. Let C0 be the lowest colour class (all vertices
     for the canonical key) and alpha the size of a maximum independent set
@@ -238,20 +241,23 @@ def _min_key(g: Graph, colour: Sequence[int]) -> int:
         single vertex, the order of I is fixed and the rows are plain
         prefix bits.
 
-    Two exact prunings apply at each level. Every key has the same length,
-    so a candidate whose row exceeds another candidate's loses whatever
-    follows: only the minimal ones are tried, and a prefix that exceeds the
-    best key's is cut. And a candidate in the twin cell of a tried one
-    (`_twin_masks`) is skipped: swapping two twins is an automorphism that
-    fixes everything placed, so their subtrees hold equal keys. For the same
-    reason only sets I that meet each twin cell in its lowest vertices are
-    enumerated: a permutation inside a twin cell maps any other I to one of
-    these and keeps every key.
+    The search is level-synchronous: it places one vertex per level in
+    every node of a frontier at once, and every node of the frontier has
+    placed the same rows. Two exact prunings apply at each level. Every key
+    has the same length, and a row is read in full before any later bit,
+    so a node or a candidate whose row exceeds the least row over the whole
+    frontier cannot reach the minimum: only the nodes and candidates with
+    that least row are expanded, and it becomes the level's row of the key.
+    And a candidate in the twin cell of a tried one (`_twin_masks`) is
+    skipped: swapping two twins is an automorphism that fixes everything
+    placed, so their subtrees hold equal keys. For the same reason only
+    sets I that meet each twin cell in its lowest vertices are enumerated:
+    a permutation inside a twin cell maps any other I to one of these and
+    keeps every key.
     """
-    n = g.order
+    n = len(adj)
     if n == 0:
         return 0
-    adj = g.neighbor_masks
     twins = _twin_masks(adj)
     # Unplaced vertices stay sorted by (colour, vertex), so the candidates
     # at a level, the unplaced vertices of its colour, are a prefix of them:
@@ -259,59 +265,61 @@ def _min_key(g: Graph, colour: Sequence[int]) -> int:
     start = sorted(range(n), key=colour.__getitem__)
     level_colour = [colour[v] for v in start]
     ends = [bisect_right(level_colour, c) for c in level_colour]
-    total_bits = n * (n - 1) // 2
-    best_bits = 1 << total_bits
-
-    def rec(cells: list[int], unplaced: list[int], bits: list[int], prefix: int) -> None:
-        # cells: the ordered cells of I, emptied once each holds one vertex
-        # (a one-vertex I after the first placement). bits[i]: unplaced[i]'s
-        # least row against the placed vertices, first-placed as the most
-        # significant bit.
-        nonlocal best_bits
-        level = n - len(unplaced)
-        if level == n:
-            best_bits = min(best_bits, prefix)
-            return
-        k = ends[level] - level
-        low = min(bits[:k])
-        prefix = (prefix << level) | low
-        if prefix > best_bits >> (total_bits - (level + 1) * level // 2):
-            return
-        tried = 0
-        for i in range(k):
-            v = unplaced[i]
-            if bits[i] != low or twins[v] & tried:
-                continue
-            tried |= 1 << v
-            av = adj[v]
-            rest = unplaced[:i] + unplaced[i + 1:]
-            rest_bits = [(b << 1) | (av >> u & 1) for u, b in zip(unplaced, bits)]
-            del rest_bits[i]
-            if not cells:
-                rec(cells, rest, rest_bits, prefix)
-                continue
-            split = [part for c in cells for part in (c & ~av, c & av) if part]
-            if len(split) > len(cells):
-                # v split a cell, so the rows against I change: rebuild
-                # them in front of the rows against the tail, the vertices
-                # placed after I.
-                tail = n - len(rest) - alpha
-                after = (1 << tail) - 1
-                rest_bits = [_cells_row(adj[u], split) << tail | b & after
-                             for u, b in zip(rest, rest_bits)]
-            # Once every cell is one vertex, the order of I is fixed.
-            rec(split if len(split) < alpha else [], rest, rest_bits, prefix)
-
     first = 0
     for v in start[:ends[0]]:
         first |= 1 << v
     sets = _maximum_independent_sets(adj, first, twins)
     alpha = sets[0].bit_count()
+    if alpha == n:
+        # An edgeless graph: every row is zero.
+        return 0
+    # A node is (cells, unplaced, rows). cells: the ordered cells of I,
+    # emptied once each holds one vertex. rows[i]: unplaced[i]'s least row
+    # against the placed vertices, first-placed as the most significant bit.
+    # k counts a level's candidates, and low is their least row over the
+    # frontier; every row is below 1 << n.
+    k = ends[alpha] - alpha
+    low = 1 << n
+    frontier = []
     for independent in sets:
         rest = [v for v in start if not independent >> v & 1]
-        rec([independent], rest,
-            [(1 << (adj[u] & independent).bit_count()) - 1 for u in rest], 0)
-    return best_bits
+        rows = [(1 << (adj[u] & independent).bit_count()) - 1 for u in rest]
+        frontier.append(([independent], rest, rows))
+        low = min(low, *rows[:k])
+    key = 0
+    for level in range(alpha, n - 1):
+        key = (key << level) | low
+        next_k = ends[level + 1] - level - 1
+        next_low = 1 << n
+        children = []
+        for cells, unplaced, rows in frontier:
+            tried = 0
+            for i in range(k):
+                v = unplaced[i]
+                if rows[i] != low or twins[v] & tried:
+                    continue
+                tried |= 1 << v
+                av = adj[v]
+                rest = unplaced[:i] + unplaced[i + 1:]
+                rest_rows = [(b << 1) | (av >> u & 1) for u, b in zip(unplaced, rows)]
+                del rest_rows[i]
+                child_cells = cells
+                if cells:
+                    split = [part for c in cells for part in (c & ~av, c & av) if part]
+                    if len(split) > len(cells):
+                        # v split a cell, so the rows against I change:
+                        # rebuild them in front of the rows against the
+                        # tail, the vertices placed after I, v included.
+                        tail = level + 1 - alpha
+                        after = (1 << tail) - 1
+                        rest_rows = [_cells_row(adj[u], split) << tail | b & after
+                                     for u, b in zip(rest, rest_rows)]
+                    # Once every cell is one vertex, the order of I is fixed.
+                    child_cells = split if len(split) < alpha else []
+                children.append((child_cells, rest, rest_rows))
+                next_low = min(next_low, *rest_rows[:next_k])
+        frontier, k, low = children, next_k, next_low
+    return (key << (n - 1)) | low
 
 
 def _cells_row(mask: int, cells: Sequence[int]) -> int:
@@ -361,7 +369,7 @@ def _bits_of(mask: int) -> list[int]:
 
 def _canonical_key(g: Graph) -> int:
     """The canonical bits: the minimum key over all vertex orderings."""
-    return _min_key(g, [0] * g.order)
+    return _min_key(g.neighbor_masks, [0] * g.order)
 
 
 def _graph_from_key(order: int, key: int) -> Graph:
@@ -406,7 +414,7 @@ def _iso_key(g: Graph) -> tuple[tuple[int, ...], int]:
     graphs. The colour cells are small, so the search is cheap.
     """
     colour = _refined_colours(g)
-    return tuple(sorted(colour)), _min_key(g, colour)
+    return tuple(sorted(colour)), _min_key(g.neighbor_masks, colour)
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -457,15 +465,17 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
         least degree of P+S, so an outerplanar P+S has |S| <= 2. With
         |S| <= 1, P+S adds an isolated or a pendant vertex to the
         outerplanar P and is outerplanar without a test; only |S| = 2 runs
-        `is_outerplanar`.
+        the outerplanarity elimination (`_outerplanar_masks`).
 
-    Every surviving extension is keyed by its canonical bits
-    (`_canonical_key`), a complete invariant. Classes are stored as these
-    keys alone and decoded (`_graph_from_key`) once all are known, sorted
-    by edge count, the key's popcount, then key. A representative depends
-    only on its canonical bits, so the rules change the work, not the
-    output: the outerplanar representatives are exactly the outerplanar
-    members of the full list, in the same order.
+    Every surviving extension is keyed by its canonical bits, a complete
+    invariant, read off its neighbour masks (`_min_key`): P's masks with
+    the new vertex's bit added on S, and S appended. No `Graph` is built
+    for an extension. Classes are stored as these keys alone and decoded
+    (`_graph_from_key`) once all are known, sorted by edge count, the
+    key's popcount, then key. A representative depends only on its
+    canonical bits, so the rules change the work, not the output: the
+    outerplanar representatives are exactly the outerplanar members of the
+    full list, in the same order.
     """
     if order == 0:
         return (Graph(0),)
@@ -474,6 +484,8 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     parents = _all_graph_reps(order - 1, True) if outerplanar else _all_graph_reps(order - 1)
     keys: set[int] = set()
     new = order - 1
+    bit = 1 << new
+    uniform = [0] * order
     for parent in parents:
         adj = parent.neighbor_masks
         degree = [m.bit_count() for m in adj]
@@ -493,11 +505,11 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
             ties = below[size] | below[size + 1] & ~nbrs
             if ties and not _accepts(adj, degree, nbrs, ties):
                 continue
-            extra = frozenset((i, new) for i in range(new) if nbrs >> i & 1)
-            g = Graph(order, parent.edges | extra)
-            if outerplanar and size == 2 and not is_outerplanar(g):
+            masks = [m | bit if nbrs >> v & 1 else m for v, m in enumerate(adj)]
+            masks.append(nbrs)
+            if outerplanar and size == 2 and not _outerplanar_masks(masks):
                 continue
-            keys.add(_canonical_key(g))
+            keys.add(_min_key(masks, uniform))
     return tuple(_graph_from_key(order, key)
                  for key in sorted(keys, key=lambda key: (key.bit_count(), key)))
 
@@ -577,9 +589,21 @@ def is_outerplanar(g: Graph) -> bool:
     when any of its edges must be a bridge. g is outerplanar iff every
     vertex is removed.
     """
-    n = g.order
-    adj = list(g.neighbor_masks)
-    label = dict.fromkeys(g.edges, 0)
+    return _outerplanar_masks(g.neighbor_masks)
+
+
+def _outerplanar_masks(adj: Sequence[int]) -> bool:
+    """`is_outerplanar` for the graph with neighbour masks `adj`.
+
+    The edge labels are kept as masks too: w is in one[v] when the edge vw
+    is labelled at least 1, and in two[v] when it is labelled 2. Labels only
+    grow, and a removed vertex never gains an edge again, so its bits in
+    the masks of its neighbours may stay.
+    """
+    n = len(adj)
+    adj = list(adj)
+    one = [0] * n
+    two = [0] * n
     todo = [v for v in range(n) if adj[v].bit_count() <= 2]
     gone = 0
     while todo:
@@ -587,22 +611,30 @@ def is_outerplanar(g: Graph) -> bool:
         m = adj[v]
         if gone >> v & 1 or m.bit_count() > 2:
             continue
-        # The lowest and the highest neighbour, of at most two.
-        ends = [(m & -m).bit_length() - 1, m.bit_length() - 1][:m.bit_count()]
-        sides = [label.pop((u, v) if u < v else (v, u)) for u in ends]
-        if len(ends) == 2:
-            u, w = ends
-            if adj[u] >> w & 1:
-                if max(*sides, label[u, w]) == 2:
+        if m & (m - 1):
+            u, w = (m & -m).bit_length() - 1, m.bit_length() - 1
+            bu, bw = 1 << u, 1 << w
+            if adj[u] & bw:
+                # A triangle: uw's label goes up by one.
+                if two[v] & m or two[u] & bw:
                     return False
-                label[u, w] += 1
+                to_two = one[u] & bw
             else:
-                label[u, w] = max(*sides, 1)
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
-        for u in ends:
-            adj[u] &= ~(1 << v)
+                # A new edge uw, labelled 2 if a side was, else 1.
+                to_two = two[v] & m
+                adj[u] |= bw
+                adj[w] |= bu
+            one[u] |= bw
+            one[w] |= bu
+            if to_two:
+                two[u] |= bw
+                two[w] |= bu
+        bv = 1 << v
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            adj[u] &= ~bv
             if adj[u].bit_count() <= 2:
                 todo.append(u)
-        gone |= 1 << v
+        gone |= bv
     return gone == (1 << n) - 1

@@ -36,6 +36,7 @@ from linarr.graph import (
     _iso_key,
     _maximum_independent_sets,
     _min_key,
+    _outerplanar_masks,
     _refined_colours,
     _twin_cells,
     _twin_masks,
@@ -66,6 +67,23 @@ def triangulated_polygon(n, rng):
             k = rng.randint(a + 1, b - 1)
             sides += [(a, k), (k, b)]
     return edges
+
+
+def circulant(n, steps):
+    """Vertex i joined to i + s mod n for each step s."""
+    return make_graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def petersen_graph():
+    """Outer 5-cycle 0..4, spokes i-(i+5), inner pentagram 5..9."""
+    return make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def hypercube(d):
+    """Vertices 0..2^d-1, joined when they differ in one bit."""
+    return make_graph(1 << d, [(v, v ^ 1 << b) for v in range(1 << d) for b in range(d)])
 
 
 # sha256 of repr([g.sorted_edges for g in _all_graph_reps(n)]) for n = 1..7.
@@ -297,16 +315,16 @@ class TestEnumeration:
         # them all 2^(n-1) extensions of every representative of order n - 1
         # were keyed (11,290 up to order 7).
         keyed = [0] * 8
-        canonical_key = linarr.graph._canonical_key
+        min_key = linarr.graph._min_key
 
-        def counting(g):
-            keyed[g.order] += 1
-            return canonical_key(g)
+        def counting(adj, colour):
+            keyed[len(adj)] += 1
+            return min_key(adj, colour)
 
         # Each level is rebuilt uncached from the cached level below it, so
         # the order-8 enumeration other tests share stays in the cache.
         _all_graph_reps(6)
-        monkeypatch.setattr(linarr.graph, "_canonical_key", counting)
+        monkeypatch.setattr(linarr.graph, "_min_key", counting)
         for n in range(1, 8):
             _all_graph_reps.__wrapped__(n)
         assert keyed[1:] == [1, 2, 4, 11, 39, 192, 1428]
@@ -329,17 +347,42 @@ class TestEnumeration:
         # Only outerplanar extensions of outerplanar representatives are
         # keyed: 520 up to order 7, against 1,677 for the full enumeration.
         keyed = [0] * 9
-        canonical_key = linarr.graph._canonical_key
+        min_key = linarr.graph._min_key
 
-        def counting(g):
-            keyed[g.order] += 1
-            return canonical_key(g)
+        def counting(adj, colour):
+            keyed[len(adj)] += 1
+            return min_key(adj, colour)
 
         _all_graph_reps(7, True)
-        monkeypatch.setattr(linarr.graph, "_canonical_key", counting)
+        monkeypatch.setattr(linarr.graph, "_min_key", counting)
         for n in range(1, 9):
             _all_graph_reps.__wrapped__(n, True)
         assert keyed[1:] == [1, 2, 4, 10, 29, 103, 371, 1413]
+
+    def test_outerplanar_stream_builds_a_graph_per_representative(self, monkeypatch):
+        # Extensions are tested and keyed on neighbour masks: the only
+        # graphs built are the 277 decoded representatives of order 7, and
+        # the 146 extensions with |S| = 2 each run the elimination once.
+        built = []
+        eliminations = []
+        graph = linarr.graph.Graph
+        outerplanar = linarr.graph._outerplanar_masks
+
+        def counting_graph(*args):
+            built.append(args[0])
+            return graph(*args)
+
+        def counting_outerplanar(adj):
+            eliminations.append(len(adj))
+            return outerplanar(adj)
+
+        _all_graph_reps(6, True)
+        monkeypatch.setattr(linarr.graph, "Graph", counting_graph)
+        monkeypatch.setattr(linarr.graph, "_outerplanar_masks", counting_outerplanar)
+        reps = _all_graph_reps.__wrapped__(7, True)
+        assert len(reps) == 277
+        assert built == [7] * 277
+        assert eliminations == [7] * 146
 
     def test_outerplanar_stream_holds_random_outerplanar_graphs(self):
         # Independent of the rules that prune the stream: the canonical form
@@ -401,15 +444,30 @@ class TestMinKey:
     @pytest.mark.parametrize("refined", [False, True], ids=["canonical", "refined"])
     def test_matches_brute_force(self, refined):
         for g in min_key_cases():
-            if refined:
-                colour = _refined_colours(g)
-                bits = _min_key(g, colour)
-            else:
-                colour = [0] * g.order
-                bits = _canonical_key(g)
+            colour = _refined_colours(g) if refined else [0] * g.order
+            bits = _min_key(g.neighbor_masks, colour)
             assert bits == oracle_min_key(g, colour), g
+            if not refined:
+                assert _canonical_key(g) == bits, g
             # The key decodes to g relabelled onto a minimising ordering.
             assert oracle_key(_graph_from_key(g.order, bits), range(g.order)) == bits, g
+
+    @pytest.mark.parametrize("g, key", [
+        (cycle_graph(12), 0x628a14140600),
+        (petersen_graph(), 0x1a98934990),
+        (hypercube(4), 0xf332a8d22582a819807800),
+        (complete_bipartite(4, 4), 0x3fde78),
+        (circulant(13, [1, 5]), 0x1222d1c22b2a590cc0),
+    ], ids=["C12", "Petersen", "Q4", "K4,4", "C13(1,5)"])
+    def test_symmetric_graphs_are_pinned(self, g, key):
+        # Vertex-transitive graphs too large for the brute-force oracle, on
+        # which many partial orderings tie level after level. The keys were
+        # taken from the depth-first search that the level-synchronous one
+        # replaced. Refinement leaves a regular graph's colouring uniform.
+        rng = random.Random(g.order)
+        assert _canonical_key(g) == key
+        assert _canonical_key(relabeled(g, rng)) == key
+        assert _iso_key(relabeled(g, rng)) == ((0,) * g.order, key)
 
     def test_maximum_independent_sets_up_to_twins(self):
         # The returned sets are maximum independent sets that meet each twin
@@ -493,6 +551,20 @@ class TestOuterplanarity:
             assert is_outerplanar(h) == verdict, h
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_mask_elimination_matches_minor_oracle_on_random_graphs(self):
+        # The elimination on neighbour masks, as the outerplanar stream runs
+        # it, on graphs of orders 5..10 dense enough to give both verdicts.
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(5, 10)
+            p = rng.uniform(0.2, 0.5)
+            g = make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            verdict = oracle_is_outerplanar(g)
+            assert _outerplanar_masks(g.neighbor_masks) == verdict, g
+            verdicts.append(verdict)
+        assert 50 < sum(verdicts) < 250
 
     @pytest.mark.parametrize("edges, expected", [
         # K2,3 plus the edge between its hubs: three triangles on one edge.
