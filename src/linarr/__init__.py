@@ -30,7 +30,6 @@ from .solvers import (
     check_dominating_edge_claims,
     enumerate_planar_optima,
     iter_crossing_free,
-    solve_minla_bnb,
     solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
@@ -73,7 +72,6 @@ __all__ = [
     "reverse",
     "run_cli",
     "search_gap_graphs",
-    "solve_minla_bnb",
     "solve_minla_dp",
     "solve_minla_exhaustive",
     "solve_planar_minla",

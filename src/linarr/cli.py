@@ -30,7 +30,6 @@ from .render import FORMATS, emit_arc_diagram
 from .solvers import (
     MAX_ORDER_SEARCH,
     check_dominating_edge_claims,
-    solve_minla_bnb,
     solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
@@ -73,7 +72,6 @@ def _cmd_minla(args: argparse.Namespace) -> int:
     solve = {
         "dp": solve_minla_dp,
         "exhaustive": solve_minla_exhaustive,
-        "bnb": solve_minla_bnb,
     }[args.solver]
     result = solve(doc.graph, dedup_reversals=True)
     witness = emit_arrangement(result.best, doc.labels)
@@ -89,8 +87,8 @@ def _cmd_minla(args: argparse.Namespace) -> int:
     else:
         print(f"optimal cost: {result.optimal_cost}")
         print(f"witness: {witness}")
-        # Only the exhaustive solver collects every optimum; dp and bnb
-        # return one, so a count from them would be wrong.
+        # Only the exhaustive solver collects every optimum; dp returns
+        # one, so a count from it would be wrong.
         if args.solver == "exhaustive":
             print(f"witnesses up to reversal: {len(result.witnesses)}")
         print(f"explored: {result.explored}")
@@ -288,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minla", _cmd_minla, "exact minimum linear arrangement")
     p.add_argument("graph", help="graph file (edge list or JSON), or - for stdin")
-    p.add_argument("--solver", choices=["dp", "exhaustive", "bnb"], default="dp",
-                   help="subset DP (default; one witness), exhaustive or branch-and-bound")
+    p.add_argument("--solver", choices=["dp", "exhaustive"], default="dp",
+                   help="subset DP (default; one witness) or exhaustive (every optimum)")
 
     p = add("planar-minla", _cmd_planar_minla, "exact minimum over crossing-free arrangements")
     p.add_argument("graph", help="graph file, or - for stdin")

@@ -2,12 +2,12 @@
 crossing-free variant, plus a mechanical checker for the structural claims
 about dominating cycle edges in crossing-free arrangements.
 
-The default minLA solver is a dynamic program over vertex subsets; the
-exhaustive and branch-and-bound solvers enumerate arrangements of vertices
-onto positions 1..n, the latter pruning prefixes, and are kept as
-references. The crossing-free solver, `iter_crossing_free` and the claim
-checker share one prefix search, which drops a prefix as soon as some
-edge, placed or still to come, must cross. Two more exact rules drop
+The minLA solver is a dynamic program over vertex subsets; the exhaustive
+solver, which enumerates every arrangement of the vertices onto positions
+1..n and lists every optimum, is kept as its reference. The crossing-free
+solver, `iter_crossing_free` and the claim checker share one prefix
+search, which drops a prefix as soon as some edge, placed or still to
+come, must cross. Two more exact rules drop
 prefixes that no crossing-free arrangement extends. The edge-count rule
 answers a graph with more than 2n - 3 edges with nothing. The cut-vertex
 pocket rule (rule (d) in ROADMAP.md): while some placed vertex has an
@@ -52,22 +52,21 @@ from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
 from .errors import ValidationError
-from .graph import Edge, Graph, _twin_masks, is_outerplanar, normalize_edge
+from .graph import Edge, Graph, _bits_of, _twin_masks, is_outerplanar, normalize_edge
 
 SOLVER_EXHAUSTIVE = "exhaustive"
-SOLVER_BNB = "branch-and-bound"
 SOLVER_DP = "subset-dp"
 SOLVER_PLANAR = "planar-prefix"
 
-# Largest order each solver accepts. At order 10 the enumerating
-# solvers already take 15 s (exhaustive, P10) to 43 s (branch-and-bound,
-# K10); the subset DP takes 0.62-0.69 s for K17, its worst case. Times are
-# for one Xeon core under CPython 3.11. The crossing-free solver uses
-# MAX_ORDER_DP, since it builds the same 2**n tables. The gap search
-# builds and solves only the connected outerplanar classes (OEIS
-# A111563): 3,783 at order 9, built in about 1.6 s, with the whole search
-# taking about 5.5 s; order 10 has 20,074, built in about 13 s, whose gaps
-# take about 22 s more. The claim checker examines one
+# Largest order each solver accepts. At order 10 the exhaustive solver
+# already takes 15 s (P10); the subset DP takes 0.62-0.69 s for K17, its
+# worst case. Times are for one Xeon core under CPython 3.11. The
+# crossing-free solver uses MAX_ORDER_DP, since it builds the same 2**n
+# tables. The gap search builds and solves only the connected outerplanar
+# classes (OEIS A111563): 3,783 at order 9, built in about 1.6 s, with the
+# whole search taking about 5.3 s; order 10 has 20,074, built in about
+# 10.5 s, whose gaps take about 22 s more (CPU time on a shared 2-CPU host
+# under CPython 3.11.7). The claim checker examines one
 # crossing-free arrangement per orbit of mirroring and twin swaps, so its
 # time follows the number of orbits. A triangle with pendants on one
 # vertex has 2n(n - 2)! arrangements in n(n - 2) orbits, and checking it
@@ -77,7 +76,6 @@ SOLVER_PLANAR = "planar-prefix"
 # arrangements in 34,560 orbits) take 0.51 s, so the limit stays at 10.
 # Times are CPU time on one Xeon core under CPython 3.11.
 MAX_ORDER_EXHAUSTIVE = 10
-MAX_ORDER_BNB = 10
 MAX_ORDER_DP = 17
 MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
@@ -98,15 +96,14 @@ class SolveResult:
     `witnesses` holds optimal arrangements sorted by position sequence
     (the subset DP returns only the smallest); when `deduped_reversals` is
     set, each mirror pair is collapsed to its lexicographically smaller
-    member. For the enumerating solvers, `explored` counts the complete
-    arrangements whose cost was evaluated, which makes pruned and unpruned
-    solvers directly comparable; for the subset DP it counts the subset
-    states evaluated, 2**n. The crossing-free solver reaches only the
-    twin-sorted optima up to reversal, one per orbit of twin swaps and
-    mirroring, and expands them into the witnesses afterwards, so its
-    `explored` counts the twin-sorted complete arrangements reached and
-    may be far below the number of witnesses. Every solver counts the
-    same in both modes.
+    member. For the exhaustive solver, `explored` counts the complete
+    arrangements whose cost was evaluated, n!; for the subset DP it counts
+    the subset states evaluated, 2**n. The crossing-free solver reaches
+    only the twin-sorted optima up to reversal, one per orbit of twin swaps
+    and mirroring, and expands them into the witnesses afterwards, so its
+    `explored` counts the twin-sorted complete arrangements reached and may
+    be far below the number of witnesses. Every solver counts the same in
+    both modes.
     """
 
     optimal_cost: int
@@ -125,19 +122,6 @@ def _mirrors(position_tuples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The mirror n + 1 - p of each position tuple p of a non-empty list."""
     flip = (len(position_tuples[0]) + 1).__sub__
     return [tuple(map(flip, p)) for p in position_tuples]
-
-
-def _finalize(optimal_cost: int, position_tuples: list[tuple[int, ...]], explored: int,
-              solver_id: str, dedup_reversals: bool) -> SolveResult:
-    # Arrangements order by their one field, so sorting the raw tuples gives
-    # the same order; only the tuples kept become Arrangements. A tuple is
-    # dropped when its mirror is listed and smaller.
-    kept = sorted(position_tuples)
-    if dedup_reversals:
-        listed = set(kept)
-        kept = [p for p, q in zip(kept, _mirrors(kept)) if p <= q or q not in listed]
-    return SolveResult(optimal_cost, tuple(map(Arrangement._trusted, kept)), explored, solver_id,
-                       dedup_reversals)
 
 
 def _check_order(g: Graph, limit: int, solver_id: str) -> None:
@@ -167,63 +151,16 @@ def solve_minla_exhaustive(g: Graph, dedup_reversals: bool = False) -> SolveResu
         elif c == best:
             witnesses.append(tuple(pos))
     assert best is not None
-    return _finalize(best, witnesses, explored, SOLVER_EXHAUSTIVE, dedup_reversals)
-
-
-def solve_minla_bnb(g: Graph, dedup_reversals: bool = False) -> SolveResult:
-    """Branch-and-bound minimization, agreeing with the exhaustive solver.
-
-    Vertices are placed left to right. A prefix is abandoned when
-    placed cost
-    + for each edge with one placed endpoint: distance from that endpoint
-      to the first unused position
-    + the number of fully unplaced edges
-    reaches the incumbent; the bound never overestimates a completion.
-    """
-    _check_order(g, MAX_ORDER_BNB, SOLVER_BNB)
-    n = g.order
-    edges = g.sorted_edges
-    nbrs = g.neighbors
-    incumbent: int | None = None
-    witness: tuple[int, ...] = ()
-    explored = 0
-    pos = [0] * n
-
-    def bound(k: int, placed_cost: int) -> int:
-        b = placed_cost
-        nxt = k + 1
-        for u, v in edges:
-            pu, pv = pos[u], pos[v]
-            if pu and pv:
-                continue
-            if pu:
-                b += nxt - pu
-            elif pv:
-                b += nxt - pv
-            else:
-                b += 1
-        return b
-
-    def rec(k: int, placed_cost: int) -> None:
-        nonlocal incumbent, witness, explored
-        if k == n:
-            # A complete prefix's bound is its cost, so it beats the incumbent.
-            explored += 1
-            incumbent, witness = placed_cost, tuple(pos)
-            return
-        p = k + 1
-        for v in range(n):
-            if pos[v]:
-                continue
-            newcost = placed_cost + sum(p - pos[u] for u in nbrs[v] if pos[u])
-            pos[v] = p
-            if incumbent is None or bound(p, newcost) < incumbent:
-                rec(p, newcost)
-            pos[v] = 0
-
-    rec(0, 0)
-    assert incumbent is not None
-    return _finalize(incumbent, [witness], explored, SOLVER_BNB, dedup_reversals)
+    # Arrangements order by their one field, so sorting the raw tuples gives
+    # the same order; only the tuples kept become Arrangements. A tuple is
+    # dropped when its mirror is listed and smaller.
+    witnesses.sort()
+    if dedup_reversals:
+        listed = set(witnesses)
+        witnesses = [p for p, q in zip(witnesses, _mirrors(witnesses))
+                     if p <= q or q not in listed]
+    return SolveResult(best, tuple(map(Arrangement._trusted, witnesses)), explored,
+                       SOLVER_EXHAUSTIVE, dedup_reversals)
 
 
 def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
@@ -666,8 +603,8 @@ def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int]) -> list[tupl
     no particular order; one cell is expanded at a time."""
     n = len(optima[0])
     for cell in cells:
-        members = [v for v in range(n) if cell >> v & 1]
-        rest = [v for v in range(n) if not cell >> v & 1]
+        members = _bits_of(cell)
+        rest = _bits_of(((1 << n) - 1) ^ cell)
         # A witness is put(fixed + perm): fixed holds the positions of the
         # vertices outside the cell, perm those of the members in order.
         at = {v: i for i, v in enumerate(rest + members)}
@@ -866,7 +803,7 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     orbit = 2
     for c in cells:
         orbit *= math.factorial(c.bit_count())
-    members = [[v for v in range(g.order) if c >> v & 1] for c in cells]
+    members = list(map(_bits_of, cells))
     count = 0
     # The first failure of each claim so far, as (vertex order, edge).
     first1 = first2 = None

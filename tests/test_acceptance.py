@@ -32,7 +32,7 @@ from linarr import (
     pentagon_with_chord,
     reverse,
     search_gap_graphs,
-    solve_minla_bnb,
+    solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
 )
@@ -60,7 +60,7 @@ def test_c2_gap_between_the_two_optima(pentagon):
     planar = solve_planar_minla(pentagon)
     assert planar is not None and planar.optimal_cost == 10
     assert solve_minla_exhaustive(pentagon).optimal_cost == 9
-    assert solve_minla_bnb(pentagon).optimal_cost == 9
+    assert solve_minla_dp(pentagon).optimal_cost == 9
     assert planar.optimal_cost > 9
     assert compute_gap(pentagon).gap == 1
     # Independent confirmation that 9 is the true optimum over all 120.
@@ -97,17 +97,19 @@ def test_c4_dominating_edge_claims(pentagon):
     assert report.arrangement_count == 10
 
 
-def test_c5_branch_and_bound_equals_exhaustive_up_to_order_6():
-    """Criterion 5: both solvers agree on every connected class, n <= 6."""
+def test_c5_subset_dp_equals_exhaustive_up_to_order_6():
+    """Criterion 5: the subset DP and the exhaustive solver agree on the
+    optimum and on the smallest optimal arrangement of every connected
+    class, n <= 6."""
     expected_counts = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     for n, expected in expected_counts.items():
         graphs = list(enumerate_connected_graphs(n))
         assert len(graphs) == expected
         for g in graphs:
             exhaustive = solve_minla_exhaustive(g)
-            bnb = solve_minla_bnb(g)
-            assert bnb.optimal_cost == exhaustive.optimal_cost
-            assert bnb.explored <= exhaustive.explored
+            dp = solve_minla_dp(g)
+            assert dp.optimal_cost == exhaustive.optimal_cost
+            assert dp.best == exhaustive.best
 
 
 def test_c6_book_embedding_equivalence_up_to_order_6():

@@ -39,14 +39,12 @@ from linarr import (
     iter_crossing_free,
     make_graph,
     reverse,
-    solve_minla_bnb,
     solve_minla_dp,
     solve_minla_exhaustive,
     solve_planar_minla,
 )
 from linarr.graph import _all_graph_reps, _twin_masks
 from linarr.solvers import (
-    MAX_ORDER_BNB,
     MAX_ORDER_CLAIMS,
     MAX_ORDER_DP,
     MAX_ORDER_EXHAUSTIVE,
@@ -132,24 +130,6 @@ class TestExhaustive:
         assert len(full.witnesses) == 2 * len(deduped.witnesses)
         for a in deduped.witnesses:
             assert a.positions <= reverse(a).positions
-
-
-class TestBranchAndBound:
-    def test_agrees_on_pentagon(self, pentagon):
-        assert solve_minla_bnb(pentagon).optimal_cost == 9
-
-    def test_explored_never_exceeds_exhaustive(self, pentagon):
-        assert solve_minla_bnb(pentagon).explored <= solve_minla_exhaustive(pentagon).explored
-
-    def test_witness_achieves_cost(self, pentagon):
-        result = solve_minla_bnb(pentagon)
-        for a in result.witnesses:
-            assert cost(pentagon, a) == result.optimal_cost
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_agrees_with_exhaustive_per_order(self, n):
-        for g in enumerate_connected_graphs(n):
-            assert solve_minla_bnb(g).optimal_cost == solve_minla_exhaustive(g).optimal_cost
 
 
 class TestSubsetDP:
@@ -244,7 +224,6 @@ class UnreadableGraph(Graph):
 class TestOrderLimits:
     @pytest.mark.parametrize("solve, limit", [
         (solve_minla_exhaustive, MAX_ORDER_EXHAUSTIVE),
-        (solve_minla_bnb, MAX_ORDER_BNB),
         (solve_minla_dp, MAX_ORDER_DP),
         (solve_planar_minla, MAX_ORDER_DP),
     ])
@@ -262,7 +241,7 @@ class TestOrderLimits:
         assert check_dominating_edge_claims(g, g.edges).arrangement_count > 0
 
     def test_documented_limits(self):
-        assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_BNB == MAX_ORDER_CLAIMS == 10
+        assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_CLAIMS == 10
         assert MAX_ORDER_DP <= 20
 
 
@@ -637,9 +616,8 @@ class TestPlanarOptima:
 
 class TestSolverInvariants:
     @pytest.mark.parametrize("dedup", [False, True])
-    @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_minla_bnb, solve_minla_dp,
-                                       solve_planar_minla],
-                             ids=["exhaustive", "bnb", "dp", "planar"])
+    @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_minla_dp, solve_planar_minla],
+                             ids=["exhaustive", "dp", "planar"])
     def test_order_zero_and_one(self, solve, dedup):
         # The one arrangement is its own mirror, so it is listed once in
         # both modes.
@@ -653,7 +631,7 @@ class TestSolverInvariants:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sandwich_and_witness_validity(self, n):
         for g in enumerate_connected_graphs(n):
-            minla = solve_minla_bnb(g)
+            minla = solve_minla_dp(g)
             planar = solve_planar_minla(g)
             if planar is not None:
                 assert minla.optimal_cost <= planar.optimal_cost
