@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -24,7 +25,12 @@ class Arrangement:
     positions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(map(int, self.positions)))
+        try:
+            positions = tuple(map(index, self.positions))
+        except TypeError:
+            raise ValidationError(
+                f"positions {self.positions!r} are not a sequence of integers") from None
+        object.__setattr__(self, "positions", positions)
         n = len(self.positions)
         if sorted(self.positions) != list(range(1, n + 1)):
             raise ValidationError(
@@ -44,6 +50,10 @@ class Arrangement:
         """Build from the sequence of vertices read left to right."""
         positions = [0] * len(order)
         for i, v in enumerate(order):
+            try:
+                v = index(v)
+            except TypeError:
+                raise ValidationError(f"vertex {v!r} is not an integer") from None
             if not 0 <= v < len(order):
                 raise ValidationError(f"vertex {v} out of range for order {len(order)}")
             positions[v] = i + 1

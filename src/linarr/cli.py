@@ -73,7 +73,7 @@ def _cmd_minla(args: argparse.Namespace) -> int:
         "dp": solve_minla_dp,
         "exhaustive": solve_minla_exhaustive,
     }[args.solver]
-    result = solve(doc.graph, dedup_reversals=True)
+    result = solve(doc.graph)
     witness = emit_arrangement(result.best, doc.labels)
     if args.json:
         _print_json({
@@ -98,7 +98,7 @@ def _cmd_minla(args: argparse.Namespace) -> int:
 
 def _cmd_planar_minla(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
-    result = solve_planar_minla(doc.graph, dedup_reversals=True)
+    result = solve_planar_minla(doc.graph)
     if result is None:
         if args.json:
             _print_json({"command": "planar-minla", "planar_arrangement_exists": False})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .arrangement import Arrangement, is_planar_arrangement
@@ -133,28 +134,42 @@ def iter_gap_reports(max_order: int,
     solved only when its report is asked for. A long run interrupted at
     (order, index) can be resumed by passing that pair as `start`: a chunk
     then begins at that class, and no class before it is tabled or solved.
-    Orders above MAX_ORDER_SEARCH, and a start order below 1 or a negative
-    start index, raise ValidationError before any enumeration. A start past
-    max_order or past the last class of its order yields nothing for it.
+    Orders above MAX_ORDER_SEARCH, a start order below 1 or a negative
+    start index, and a max_order or start that is not an integer or a pair
+    of integers (`operator.index`), raise ValidationError before any
+    enumeration. A start past max_order or past the last class of its
+    order yields nothing for it.
     """
+    try:
+        max_order = index(max_order)
+    except TypeError:
+        raise ValidationError(f"max_order must be an integer, got {max_order!r}") from None
+    try:
+        start_order, start_index = map(index, start)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"start must be a pair of integers (order, index), got {start!r}") from None
     if max_order < 1:
         raise ValidationError(f"max_order must be >= 1, got {max_order}")
     if max_order > MAX_ORDER_SEARCH:
         raise ValidationError(
             f"the gap search accepts max_order <= {MAX_ORDER_SEARCH}, got {max_order}"
         )
-    start_order, start_index = start
     if start_order < 1 or start_index < 0:
         raise ValidationError(f"start must be (order >= 1, index >= 0), got {start}")
     for order in range(start_order, max_order + 1):
         first = start_index if order == start_order else 0
         classes = islice(enumerate_connected_outerplanar_graphs(order), first, None)
-        for index, report in enumerate(_reports(classes), first):
-            yield order, index, report
+        for class_index, report in enumerate(_reports(classes), first):
+            yield order, class_index, report
 
 
 def search_gap_graphs(max_order: int, min_gap: int) -> list[GapReport]:
     """All connected graphs up to max_order whose gap is defined and >= min_gap."""
+    try:
+        min_gap = index(min_gap)
+    except TypeError:
+        raise ValidationError(f"min_gap must be an integer, got {min_gap!r}") from None
     if min_gap < 1:
         raise ValidationError(f"min_gap must be a positive integer, got {min_gap}")
     return [

@@ -44,9 +44,13 @@ Edge = tuple[int, int]
 
 
 def normalize_edge(e: Iterable[int]) -> Edge:
-    """Return the edge as a sorted (u, v) tuple, rejecting self-loops and
-    endpoints that are not integers (`operator.index`), such as 1.7 or "2"."""
-    u, v = e
+    """Return the edge as a sorted (u, v) tuple, rejecting anything that is
+    not a pair, self-loops and endpoints that are not integers
+    (`operator.index`), such as 1.7 or "2"."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise ValidationError(f"edge {e!r} is not a pair of vertices") from None
     try:
         u, v = index(u), index(v)
     except TypeError:

@@ -26,11 +26,13 @@ outerplanarity test before it builds any table. Twins, vertices with the
 same neighbours apart from each other, can swap without changing cost or
 crossings, so the solver searches one twin-sorted optimum per orbit of
 such swaps, and of each mirror pair only the smaller member. Only when it
-lists the witnesses does it expand the orbits, and add the mirrors unless
-reversals are deduplicated; `compute_gap` needs only the smallest optimum
-and does neither. The claim checker walks the same search without the
-bound: one arrangement per orbit of mirroring and of swaps of twins off
-the cycle, on which both verdicts are constant. It counts every member of
+lists the witnesses does it expand the orbits; `compute_gap` needs only
+the smallest optimum and does not. Both costs are invariant under
+reversal, so every solver lists its optima up to reversal: of each mirror
+pair only the member that precedes its mirror, and `reverse` gives the
+other. The claim checker walks the same search without the bound: one
+arrangement per orbit of mirroring and of swaps of twins off the cycle,
+on which both verdicts are constant. It counts every member of
 each orbit, so a graph with no crossing-free arrangement reports 0, and
 both claims then hold vacuously.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
@@ -93,35 +95,27 @@ MAX_PLANAR_WITNESSES = 500_000
 class SolveResult:
     """Outcome of an exact solve.
 
-    `witnesses` holds optimal arrangements sorted by position sequence
-    (the subset DP returns only the smallest); when `deduped_reversals` is
-    set, each mirror pair is collapsed to its lexicographically smaller
-    member. For the exhaustive solver, `explored` counts the complete
-    arrangements whose cost was evaluated, n!; for the subset DP it counts
-    the subset states evaluated, 2**n. The crossing-free solver reaches
-    only the twin-sorted optima up to reversal, one per orbit of twin swaps
-    and mirroring, and expands them into the witnesses afterwards, so its
-    `explored` counts the twin-sorted complete arrangements reached and may
-    be far below the number of witnesses. Every solver counts the same in
-    both modes.
+    `witnesses` holds the optimal arrangements up to reversal, sorted by
+    position sequence: of each mirror pair only the member that precedes
+    its mirror, and `reverse` gives the other (the subset DP returns only
+    the smallest). For the exhaustive solver, `explored` counts the
+    complete arrangements whose cost was evaluated, n!; for the subset DP
+    it counts the subset states evaluated, 2**n. The crossing-free solver
+    reaches only the twin-sorted optima up to reversal, one per orbit of
+    twin swaps and mirroring, and expands them into the witnesses
+    afterwards, so its `explored` counts the twin-sorted complete
+    arrangements reached and may be far below the number of witnesses.
     """
 
     optimal_cost: int
     witnesses: tuple[Arrangement, ...]
     explored: int
     solver_id: str
-    deduped_reversals: bool = False
 
     @property
     def best(self) -> Arrangement:
         """The lexicographically smallest optimal arrangement."""
         return self.witnesses[0]
-
-
-def _mirrors(position_tuples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The mirror n + 1 - p of each position tuple p of a non-empty list."""
-    flip = (len(position_tuples[0]) + 1).__sub__
-    return [tuple(map(flip, p)) for p in position_tuples]
 
 
 def _check_order(g: Graph, limit: int, solver_id: str) -> None:
@@ -131,8 +125,9 @@ def _check_order(g: Graph, limit: int, solver_id: str) -> None:
         )
 
 
-def solve_minla_exhaustive(g: Graph, dedup_reversals: bool = False) -> SolveResult:
-    """Minimize total edge length over all n! arrangements; collect every optimum."""
+def solve_minla_exhaustive(g: Graph) -> SolveResult:
+    """Minimize total edge length over all n! arrangements; collect every
+    optimum up to reversal."""
     _check_order(g, MAX_ORDER_EXHAUSTIVE, SOLVER_EXHAUSTIVE)
     n = g.order
     edges = g.sorted_edges
@@ -152,15 +147,13 @@ def solve_minla_exhaustive(g: Graph, dedup_reversals: bool = False) -> SolveResu
             witnesses.append(tuple(pos))
     assert best is not None
     # Arrangements order by their one field, so sorting the raw tuples gives
-    # the same order; only the tuples kept become Arrangements. A tuple is
-    # dropped when its mirror is listed and smaller.
-    witnesses.sort()
-    if dedup_reversals:
-        listed = set(witnesses)
-        witnesses = [p for p, q in zip(witnesses, _mirrors(witnesses))
-                     if p <= q or q not in listed]
+    # the same order; only the tuples kept become Arrangements. The optima
+    # are closed under reversal, so a tuple is kept iff it precedes its
+    # mirror.
+    flip = (n + 1).__sub__
+    witnesses = sorted(p for p in witnesses if p <= tuple(map(flip, p)))
     return SolveResult(best, tuple(map(Arrangement._trusted, witnesses)), explored,
-                       SOLVER_EXHAUSTIVE, dedup_reversals)
+                       SOLVER_EXHAUSTIVE)
 
 
 def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
@@ -262,7 +255,7 @@ def _batched_subset_tables(graphs: Sequence[Graph]) -> Iterator[tuple[list[int],
     return ((cut_view[j::count].tolist(), ahead_view[j::count].tolist()) for j in range(count))
 
 
-def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
+def solve_minla_dp(g: Graph) -> SolveResult:
     """Exact minLA as a shortest path over vertex subsets, O(2**n * n).
 
     An arrangement's cost is the sum of its prefix cut sizes |δ(S_k)|,
@@ -276,8 +269,8 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     the paths of tight moves from the empty set to V.
 
     `witnesses` holds a single arrangement: the lexicographically smallest
-    optimum by position tuple, i.e. the exhaustive solver's `best` with or
-    without `dedup_reversals`. Read a position tuple as the digits of a
+    optimum by position tuple, i.e. the exhaustive solver's `best`, which
+    precedes its mirror. Read a position tuple as the digits of a
     number in base n + 1, vertex 0 most significant: every position is at
     most n, so the digits never carry, and comparing the numbers compares
     the tuples. The move S -> S+v puts v at position |S| + 1, so it adds
@@ -286,11 +279,10 @@ def solve_minla_dp(g: Graph, dedup_reversals: bool = False) -> SolveResult:
     that minimum. `explored` is the number of subset states, 2**n.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_DP)
-    return _minla_dp(g, *_subset_tables(g), dedup_reversals)
+    return _minla_dp(g, *_subset_tables(g))
 
 
-def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int],
-              dedup_reversals: bool = False) -> SolveResult:
+def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> SolveResult:
     """`solve_minla_dp` from the graph's subset tables (`_subset_tables`)."""
     n = g.order
     full = (1 << n) - 1
@@ -320,10 +312,10 @@ def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int],
                     best = c
         lex[s] = best
     pos = tuple(lex[0] // w % (n + 1) for w in weight)
-    return SolveResult(opt, (Arrangement._trusted(pos),), size, SOLVER_DP, dedup_reversals)
+    return SolveResult(opt, (Arrangement._trusted(pos),), size, SOLVER_DP)
 
 
-def _components(nbrs: tuple[int, ...], within: int) -> list[int]:
+def _components(nbrs: Sequence[int], within: int) -> list[int]:
     """The connected components, as masks, of the subgraph induced by `within`."""
     pieces = []
     while within:
@@ -410,7 +402,7 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
     so of each mirror pair only the smaller member is yielded. The
     crossing-free arrangements and the optima are closed under reversal,
     so the optimum search still finds the optimum and yields the smaller
-    member of every optimal pair; callers that want both add the mirrors.
+    member of every optimal pair.
     At order 0 or 1 the break never fires, since its prefix is already
     complete, and the one arrangement is its own mirror.
 
@@ -615,35 +607,32 @@ def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int]) -> list[tupl
     return optima
 
 
-def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult | None:
+def solve_planar_minla(g: Graph) -> SolveResult | None:
     """Minimize total edge length over crossing-free arrangements only.
 
     Returns None when the graph admits no crossing-free arrangement. The
-    witness set contains every crossing-free optimum, or with
-    `dedup_reversals` the smaller member of each mirror pair of them, so it
-    doubles as the planar-optima enumerator. The search yields only the
-    smaller members, and of them only the twin-sorted ones: it defers
-    prefixes that tie the incumbent until the optimum is known, drops the
-    larger half of the mirror pairs, and places twins (vertices with the
-    same neighbours apart from each other, vertices 0 and 1 excepted) in
-    ascending order only. Each twin-sorted optimum is then expanded into
-    every permutation inside its twin cells, and without `dedup_reversals`
-    each witness's mirror is added; from order 2 on no arrangement is its
-    own mirror. `explored` counts the twin-sorted complete arrangements the
-    search reaches, the same in both modes. More than MAX_PLANAR_WITNESSES
-    witnesses raise ValidationError before any is built; `compute_gap`
-    needs only the smallest and answers such graphs. The search is pruned
-    by the subset DP's tables, so it shares that solver's order limit. A
-    graph has a crossing-free arrangement iff it is outerplanar, so every
-    other graph gets None from the linear-time `is_outerplanar` before any
-    table is built or any prefix searched.
+    witness set contains every crossing-free optimum up to reversal, the
+    member of each mirror pair that precedes its mirror (`reverse` gives
+    the other), so it doubles as the planar-optima enumerator. The search
+    yields only those members, and of them only the twin-sorted ones: it
+    defers prefixes that tie the incumbent until the optimum is known,
+    drops the larger half of the mirror pairs, and places twins (vertices
+    with the same neighbours apart from each other, vertices 0 and 1
+    excepted) in ascending order only. Each twin-sorted optimum is then
+    expanded into every permutation inside its twin cells. `explored`
+    counts the twin-sorted complete arrangements the search reaches. More
+    than MAX_PLANAR_WITNESSES witnesses raise ValidationError before any
+    is built; `compute_gap` needs only the smallest and answers such
+    graphs. The search is pruned by the subset DP's tables, so it shares
+    that solver's order limit. A graph has a crossing-free arrangement iff
+    it is outerplanar, so every other graph gets None from the linear-time
+    `is_outerplanar` before any table is built or any prefix searched.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
     if not is_outerplanar(g):
         return None
     optimum, optima, explored, cells = _twin_sorted_optima(g, _subset_tables(g)[1])
-    mirrored = not dedup_reversals and g.order >= 2
-    total = 2 * len(optima) if mirrored else len(optima)
+    total = len(optima)
     for cell in cells:
         total *= math.factorial(cell.bit_count())
     if total > MAX_PLANAR_WITNESSES:
@@ -652,21 +641,17 @@ def solve_planar_minla(g: Graph, dedup_reversals: bool = False) -> SolveResult |
             f"arrangements, and this graph has {total:,}; `gap` reports the optimum "
             "and the smallest of them"
         )
-    witnesses = _expand_orbits(optima, cells)
-    if mirrored:
-        witnesses += _mirrors(witnesses)
-    witnesses.sort()
+    witnesses = sorted(_expand_orbits(optima, cells))
     return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored,
-                       SOLVER_PLANAR, dedup_reversals)
+                       SOLVER_PLANAR)
 
 
 def enumerate_planar_optima(g: Graph) -> list[Arrangement] | None:
-    """All crossing-free optima, deduplicated up to reversal; None if none
-    exist. More than MAX_PLANAR_WITNESSES raise ValidationError."""
-    result = solve_planar_minla(g, dedup_reversals=True)
-    if result is None:
-        return None
-    return list(result.witnesses)
+    """All crossing-free optima up to reversal, `solve_planar_minla`'s
+    witnesses; None if none exist. More than MAX_PLANAR_WITNESSES raise
+    ValidationError."""
+    result = solve_planar_minla(g)
+    return None if result is None else list(result.witnesses)
 
 
 def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:
@@ -722,28 +707,17 @@ def _validate_cycle(g: Graph, cycle_edges) -> tuple[Edge, ...]:
             raise ValidationError(f"cycle edge {e} is not an edge of the graph")
     if len(edges) < 3:
         raise ValidationError("a simple cycle needs at least 3 edges")
-    degree: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
+    nbrs = [0] * g.order
+    touched = 0
     for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(d != 2 for d in degree.values()):
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+        touched |= 1 << u | 1 << v
+    if any(m.bit_count() not in (0, 2) for m in nbrs):
         raise ValidationError("cycle edges must touch every incident vertex exactly twice")
-    if len(degree) != len(edges):
-        raise ValidationError("cycle edges do not form a single simple cycle")
-    # Walk the cycle to rule out two disjoint cycles of equal total size.
-    start = min(degree)
-    prev, cur = None, start
-    steps = 0
-    while True:
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        prev, cur = cur, nxt
-        steps += 1
-        if cur == start:
-            break
-    if steps != len(edges):
+    # With degree 2 at every vertex they touch the edges form disjoint
+    # cycles, so they form one iff the touched vertices are connected.
+    if len(_components(nbrs, touched)) != 1:
         raise ValidationError("cycle edges do not form a single simple cycle")
     return edges
 

@@ -37,6 +37,14 @@ class TestArrangement:
         with pytest.raises(ValidationError):
             Arrangement((0, 1, 2))
 
+    def test_rejects_non_integer_positions(self):
+        # A float is not truncated and a numeric string is not parsed.
+        for positions in [(1, 2.5), ("2", "1"), (1.0, 2.0)]:
+            with pytest.raises(ValidationError, match="not a sequence of integers"):
+                Arrangement(positions)
+        with pytest.raises(ValidationError, match=r"^vertex 1\.5 is not an integer$"):
+            Arrangement.from_vertex_order([0, 1.5])
+
     def test_trusted_and_validated_instances_agree(self):
         # The solvers build witnesses without the bijection check; those
         # must be indistinguishable from checked ones.

@@ -187,6 +187,21 @@ class TestSearch:
         with pytest.raises(ValidationError, match=f"max_order <= {MAX_ORDER_SEARCH}"):
             next(iter_gap_reports(MAX_ORDER_SEARCH + 1))
 
+    @pytest.mark.parametrize("max_order, min_gap", [(3.5, 1), ("3", 1), (3, 1.5)],
+                             ids=["float-order", "string-order", "float-gap"])
+    def test_non_integer_parameters_rejected_before_enumeration(self, monkeypatch, max_order,
+                                                                min_gap):
+        def no_enumeration(order):
+            raise AssertionError("enumeration before the parameter check")
+
+        monkeypatch.setattr("linarr.gap_search.enumerate_connected_outerplanar_graphs",
+                            no_enumeration)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            search_gap_graphs(max_order, min_gap)
+        if min_gap == 1:
+            with pytest.raises(ValidationError, match="must be an integer"):
+                next(iter_gap_reports(max_order))
+
     def test_documented_limit(self):
         assert MAX_ORDER_SEARCH == 9
 
@@ -208,8 +223,9 @@ class TestIterReports:
             resumed = [(o, i, r.graph) for o, i, r in iter_gap_reports(5, start=start)]
             assert resumed == [e for e in full if (e[0], e[1]) >= start]
 
-    @pytest.mark.parametrize("start", [(3, -1), (0, 3), (-2, 0)],
-                             ids=["negative-index", "order-zero", "negative-order"])
+    @pytest.mark.parametrize("start", [(3, -1), (0, 3), (-2, 0), (1.5, 0), (1, 0.5), (1,), 4],
+                             ids=["negative-index", "order-zero", "negative-order",
+                                  "float-order", "float-index", "one-part", "not-a-pair"])
     def test_bad_start_rejected_before_enumeration(self, monkeypatch, start):
         def no_enumeration(order):
             raise AssertionError("enumeration before start check")

@@ -165,6 +165,11 @@ class TestMakeGraph:
                            match=r"^edge \('0', '2'\) has an endpoint that is not an integer$"):
             make_graph(3, [("0", "2")])
 
+    def test_edge_that_is_not_a_pair_rejected(self):
+        for edge, text in [((0, 1, 2), r"\(0, 1, 2\)"), (5, "5"), ((0,), r"\(0,\)")]:
+            with pytest.raises(ValidationError, match=rf"^edge {text} is not a pair of vertices$"):
+                make_graph(3, [edge])
+
     def test_non_integer_order_rejected(self):
         for order in (2.5, "3", None):
             with pytest.raises(ValidationError,

@@ -63,23 +63,27 @@ ORDER7_STREAM_SHA256 = "a87b88d23fb3db32087b944382d12ebb04b4c368c1c3bc140b028bd2
 # taken while the witness was still found by fixing one vertex at a time.
 DP_ORDER7_SHA256 = "d3e2b66f467cafb74a244c81bf182cd2e1eb7861f286cd73d6b3092c54448168"
 
-# sha256 over the graphs of _all_graph_reps(k), k = 0..7, each solved with
-# dedup_reversals False then True, of repr(None) or
-# repr((optimal_cost, explored, [w.positions for w in witnesses])) per
-# solve_planar_minla result. Retaken when the search began to defer tied
-# prefixes and to drop the larger half of each mirror pair itself, which
-# lowered `explored`; the witnesses are pinned apart below. Retaken again
-# when the search began to reach only the twin-sorted arrangements, which
-# lowered `explored` on every class with a twin cell outside vertices 0
-# and 1; the witnesses digest below did not change. Retaken once more when
-# the search began to break mirrors in both modes and dedup_reversals=False
-# began to add each witness's mirror after it, which made `explored` the
-# same in both modes; again the witnesses digest did not change.
+# sha256 over the graphs of _all_graph_reps(k), k = 0..7, of two records per
+# solve_planar_minla result, repr(None) or repr((optimal_cost, explored,
+# positions)): first with `positions` the list of every optimum, the
+# witnesses and their mirrors sorted together, then with the witnesses
+# alone, which are the optima up to reversal. The digest was taken while
+# the solver had a mode that listed every optimum; the test rebuilds that
+# list from the witnesses, so it pins that no optimum was lost when the
+# mode was removed. Retaken when the search began to defer tied prefixes
+# and to drop the larger half of each mirror pair itself, which lowered
+# `explored`; the witnesses are pinned apart below. Retaken again when the
+# search began to reach only the twin-sorted arrangements, which lowered
+# `explored` on every class with a twin cell outside vertices 0 and 1; the
+# witnesses digest below did not change. Retaken once more when the search
+# began to break mirrors in both modes and the full list began to be built
+# by adding each witness's mirror, which made `explored` the same for both
+# records; again the witnesses digest did not change.
 PLANAR_ORDER7_SHA256 = "18abf6a5464e181f3c804a6cc5e662c9666012092512215b6056edc06d39cfea"
 
-# The same, of repr(None) or repr((optimal_cost, [w.positions for w in
-# witnesses])), without `explored`; taken while the search still expanded
-# tied prefixes and the mirror pairs were collapsed after it.
+# The same two records, repr(None) or repr((optimal_cost, positions)),
+# without `explored`; taken while the search still expanded tied prefixes
+# and the mirror pairs were collapsed after it.
 PLANAR_WITNESSES_ORDER7_SHA256 = (
     "b4786812978ea418f0041e9dd61bc628b48ca01ce435ddf009294bc6d75e7ff3")
 
@@ -114,7 +118,7 @@ class TestExhaustive:
         best, witnesses = oracle_minla(pentagon)
         result = solve_minla_exhaustive(pentagon)
         assert result.optimal_cost == best
-        assert {a.positions for a in result.witnesses} == witnesses
+        assert {b.positions for a in result.witnesses for b in (a, reverse(a))} == witnesses
 
     def test_single_edge(self):
         assert solve_minla_exhaustive(make_graph(2, [(0, 1)])).optimal_cost == 1
@@ -125,11 +129,12 @@ class TestExhaustive:
         assert all(a.position(1) == 2 for a in result.witnesses)
 
     def test_reversal_dedup_halves_witnesses(self, pentagon):
-        full = solve_minla_exhaustive(pentagon)
-        deduped = solve_minla_exhaustive(pentagon, dedup_reversals=True)
-        assert len(full.witnesses) == 2 * len(deduped.witnesses)
-        for a in deduped.witnesses:
-            assert a.positions <= reverse(a).positions
+        # Each optimum is listed up to reversal: half of them, each the
+        # member of its mirror pair that precedes the other.
+        result = solve_minla_exhaustive(pentagon)
+        assert 2 * len(result.witnesses) == len(oracle_minla(pentagon)[1])
+        for a in result.witnesses:
+            assert a.positions < reverse(a).positions
 
 
 class TestSubsetDP:
@@ -140,18 +145,16 @@ class TestSubsetDP:
         assert result.explored == 2 ** 5
         assert result.solver_id == "subset-dp"
 
-    @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_exhaustive_optimum_and_best(self, n, dedup):
+    def test_matches_exhaustive_optimum_and_best(self, n):
         # The witness contract: the DP returns exactly the exhaustive
         # solver's lexicographically smallest optimum.
         for g in enumerate_connected_graphs(n):
-            dp = solve_minla_dp(g, dedup_reversals=dedup)
-            ex = solve_minla_exhaustive(g, dedup_reversals=dedup)
+            dp = solve_minla_dp(g)
+            ex = solve_minla_exhaustive(g)
             assert dp.optimal_cost == ex.optimal_cost
             assert dp.best == ex.best
             assert dp.witnesses == (dp.best,)
-            assert dp.deduped_reversals == dedup
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(min_order=1, max_order=7))
@@ -264,9 +267,10 @@ class TestPlanarSolver:
         assert sum(1 for _ in iter_crossing_free(cycle_graph(3))) == 6
 
     def test_matches_oracle(self, pentagon):
+        # The connected classes are checked against the oracle in
+        # TestSolverInvariants; these are labelled otherwise.
         graphs = [pentagon, path_graph(4), cycle_graph(5), complete_graph(4),
                   make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])]
-        graphs += [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
         for g in graphs:
             best, witnesses = oracle_planar_minla(g)
             result = solve_planar_minla(g)
@@ -274,7 +278,8 @@ class TestPlanarSolver:
                 assert result is None
             else:
                 assert result.optimal_cost == best
-                assert {a.positions for a in result.witnesses} == witnesses
+                assert {b.positions for a in result.witnesses
+                        for b in (a, reverse(a))} == witnesses
 
     def test_dedup_matches_oracle(self, pentagon):
         # Orders 0-3 hold the edge cases of the mirror break: no vertex, a
@@ -284,7 +289,7 @@ class TestPlanarSolver:
         graphs += [g for n in range(7) for g in _all_graph_reps(n)]
         for g in graphs:
             best, witnesses = oracle_planar_minla(g)
-            result = solve_planar_minla(g, dedup_reversals=True)
+            result = solve_planar_minla(g)
             if best is None:
                 assert result is None
                 continue
@@ -374,15 +379,17 @@ class TestPlanarSolver:
         digest, witnesses_digest = hashlib.sha256(), hashlib.sha256()
         for k in range(8):
             for g in _all_graph_reps(k):
-                explored = set()
-                for dedup in (False, True):
-                    r = solve_planar_minla(g, dedup_reversals=dedup)
+                r = solve_planar_minla(g)
+                listed = full = None if r is None else [w.positions for w in r.witnesses]
+                # Every optimum: from order 2 on no arrangement is its own
+                # mirror, so the mirrors are the other half.
+                if r is not None and k >= 2:
+                    full = sorted(listed + [reverse(w).positions for w in r.witnesses])
+                for positions in (full, listed):
                     digest.update(repr(None if r is None else (
-                        r.optimal_cost, r.explored, [w.positions for w in r.witnesses])).encode())
+                        r.optimal_cost, r.explored, positions)).encode())
                     witnesses_digest.update(repr(None if r is None else (
-                        r.optimal_cost, [w.positions for w in r.witnesses])).encode())
-                    explored.add(None if r is None else r.explored)
-                assert len(explored) == 1
+                        r.optimal_cost, positions)).encode())
         assert witnesses_digest.hexdigest() == PLANAR_WITNESSES_ORDER7_SHA256
         assert digest.hexdigest() == PLANAR_ORDER7_SHA256
 
@@ -392,15 +399,9 @@ class TestPlanarSolver:
         # form one twin cell, so the search reaches only arrangements that
         # place them in ascending order: the 4 optima up to reversal that
         # fix where leaf 1 goes, and 4 leaves beyond them, before it has the
-        # optimum. It breaks mirrors in both modes, and without
-        # dedup_reversals the mirrors are added afterwards, so both modes
-        # reach 8. Without dedup_reversals it reached 12 while the break
-        # depended on the mode; 40,324 and 20,164 before the twin rule.
+        # optimum; 20,164 before the twin rule.
         star = make_graph(9, [(0, i) for i in range(1, 9)])
-        full = solve_planar_minla(star)
-        assert full.explored == 8
-        assert len(full.witnesses) == 40320
-        result = solve_planar_minla(star, dedup_reversals=True)
+        result = solve_planar_minla(star)
         assert result.optimal_cost == 20
         assert result.explored == 8
         assert len(result.witnesses) == 20160
@@ -466,12 +467,9 @@ class TestReducedStream:
 
 
 def _assert_matches(g: Graph, best: int, optima: set[tuple[int, ...]]) -> None:
-    """Both modes of solve_planar_minla list exactly `optima`, sorted."""
+    """solve_planar_minla lists exactly `optima` up to reversal, sorted."""
     mirror = (g.order + 1).__sub__
     result = solve_planar_minla(g)
-    assert result.optimal_cost == best
-    assert [a.positions for a in result.witnesses] == sorted(optima)
-    result = solve_planar_minla(g, dedup_reversals=True)
     assert result.optimal_cost == best
     assert [a.positions for a in result.witnesses] == sorted(
         {min(p, tuple(map(mirror, p))) for p in optima})
@@ -539,29 +537,25 @@ class TestTwinQuotient:
     def test_ten_star_is_answered(self):
         # 2 * 9! optima, 362,880 up to reversal, under MAX_PLANAR_WITNESSES.
         star = make_graph(10, [(0, i) for i in range(1, 10)])
-        result = solve_planar_minla(star, dedup_reversals=True)
+        result = solve_planar_minla(star)
         assert result.optimal_cost == 25
         assert result.explored == 13
         assert len(result.witnesses) == 362880 <= MAX_PLANAR_WITNESSES
         assert result.best.positions == (5,) + tuple(range(1, 5)) + tuple(range(6, 11))
 
     def test_witness_cap_is_checked_before_expansion(self, monkeypatch):
-        # Without dedup_reversals the cap counts the mirrors that are added
-        # after the expansion too.
+        # The 9-star's 20,160 optima up to reversal.
         star = make_graph(9, [(0, i) for i in range(1, 9)])
 
         def no_expansion(*args, **kwargs):
             raise AssertionError("the witnesses were expanded past the cap")
 
-        for dedup, count in [(True, 20160), (False, 40320)]:
-            with monkeypatch.context() as m:
-                m.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", count)
-                assert len(solve_planar_minla(star, dedup_reversals=dedup).witnesses) == count
-                m.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", count - 1)
-                m.setattr("linarr.solvers._expand_orbits", no_expansion)
-                with pytest.raises(ValidationError,
-                                   match=f"at most {count - 1:,} .* has {count:,}"):
-                    solve_planar_minla(star, dedup_reversals=dedup)
+        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20160)
+        assert len(solve_planar_minla(star).witnesses) == 20160
+        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20159)
+        monkeypatch.setattr("linarr.solvers._expand_orbits", no_expansion)
+        with pytest.raises(ValidationError, match="at most 20,159 .* has 20,160"):
+            solve_planar_minla(star)
 
     def test_gap_witness_is_the_smallest_optimum(self):
         # Also where compute_gap settles the class from the minLA witness
@@ -569,7 +563,7 @@ class TestTwinQuotient:
         for n in range(1, 9):
             for g in enumerate_connected_outerplanar_graphs(n):
                 report = compute_gap(g)
-                planar = solve_planar_minla(g, True)
+                planar = solve_planar_minla(g)
                 assert report.planar_witness == planar.best
                 assert report.planar_opt == planar.optimal_cost
                 assert report.gap == planar.optimal_cost - report.minla_opt
@@ -587,7 +581,7 @@ class TestTwinQuotient:
         assert cost(star, report.planar_witness) == 36
         assert report.planar_witness.positions == (6,) + tuple(range(1, 6)) + tuple(range(7, 13))
         with pytest.raises(ValidationError, match="39,916,800"):
-            solve_planar_minla(star, dedup_reversals=True)
+            solve_planar_minla(star)
 
 
 class TestPlanarOptima:
@@ -615,18 +609,32 @@ class TestPlanarOptima:
 
 
 class TestSolverInvariants:
-    @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_minla_dp, solve_planar_minla],
                              ids=["exhaustive", "dp", "planar"])
-    def test_order_zero_and_one(self, solve, dedup):
-        # The one arrangement is its own mirror, so it is listed once in
-        # both modes.
+    def test_order_zero_and_one(self, solve):
+        # The one arrangement is its own mirror, so it is listed.
         for n in (0, 1):
-            result = solve(make_graph(n), dedup_reversals=dedup)
+            result = solve(make_graph(n))
             assert result.optimal_cost == 0
             assert result.witnesses == (Arrangement(tuple(range(1, n + 1))),)
             assert result.explored == (2 ** n if solve is solve_minla_dp else 1)
-            assert result.deduped_reversals == dedup
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_witnesses_are_the_oracle_optima_up_to_reversal(self, n):
+        # Each listed witness precedes its mirror, and the witnesses with
+        # their mirrors are every optimum.
+        for g in enumerate_connected_graphs(n):
+            for (best, optima), result in [(oracle_minla(g), solve_minla_exhaustive(g)),
+                                           (oracle_planar_minla(g), solve_planar_minla(g))]:
+                if best is None:
+                    assert result is None
+                    continue
+                assert result.optimal_cost == best
+                listed = [a.positions for a in result.witnesses]
+                mirrors = [reverse(a).positions for a in result.witnesses]
+                assert listed == sorted(set(listed))
+                assert all(p <= q for p, q in zip(listed, mirrors))
+                assert set(listed + mirrors) == optima
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sandwich_and_witness_validity(self, n):
@@ -669,6 +677,10 @@ class TestClaims:
     def test_edge_outside_graph_rejected(self, pentagon):
         with pytest.raises(ValidationError):
             check_dominating_edge_claims(pentagon, [(0, 2), (2, 4), (4, 0)])
+
+    def test_edge_that_is_not_a_pair_rejected(self, pentagon):
+        with pytest.raises(ValidationError, match="not a pair of vertices"):
+            check_dominating_edge_claims(pentagon, [(0, 1, 2)])
 
     def test_two_disjoint_triangles_rejected(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
