@@ -48,14 +48,18 @@ class Arrangement:
     @classmethod
     def from_vertex_order(cls, order: Sequence[int]) -> Arrangement:
         """Build from the sequence of vertices read left to right."""
-        positions = [0] * len(order)
+        try:
+            n = len(order)
+        except TypeError:
+            raise ValidationError(f"vertex order {order!r} is not a sequence") from None
+        positions = [0] * n
         for i, v in enumerate(order):
             try:
                 v = index(v)
             except TypeError:
                 raise ValidationError(f"vertex {v!r} is not an integer") from None
-            if not 0 <= v < len(order):
-                raise ValidationError(f"vertex {v} out of range for order {len(order)}")
+            if not 0 <= v < n:
+                raise ValidationError(f"vertex {v} out of range for order {n}")
             positions[v] = i + 1
         return cls(tuple(positions))
 
@@ -82,13 +86,25 @@ def reverse(arr: Arrangement) -> Arrangement:
     return arr.reverse()
 
 
-def _interval(arr: Arrangement, e: Edge) -> tuple[int, int]:
-    u, v = e
-    n = len(arr)
-    if v >= n or u < 0:
-        raise ValidationError(f"edge ({u}, {v}) has no position in an arrangement of {n}")
-    pu, pv = arr.positions[u], arr.positions[v]
+def _span(pos: Sequence[int], e: Edge) -> tuple[int, int]:
+    """The position interval (lo, hi) of edge e under the positions `pos`."""
+    pu, pv = pos[e[0]], pos[e[1]]
     return (pu, pv) if pu < pv else (pv, pu)
+
+
+def _distinct_spans(arr: Arrangement, e1: Iterable[int], e2: Iterable[int],
+                    relation: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The spans of two given edges, checked to be distinct edges that have
+    positions in arr; `relation` names the predicate in the error."""
+    a = normalize_edge(e1)
+    b = normalize_edge(e2)
+    if a == b:
+        raise ValidationError(f"{relation} is only defined for distinct edges, got {a} twice")
+    n = len(arr)
+    for u, v in (a, b):
+        if v >= n or u < 0:
+            raise ValidationError(f"edge ({u}, {v}) has no position in an arrangement of {n}")
+    return _span(arr.positions, a), _span(arr.positions, b)
 
 
 def _check_arity(g: Graph, arr: Arrangement) -> None:
@@ -111,12 +127,7 @@ def crosses(arr: Arrangement, e1: Iterable[int], e2: Iterable[int]) -> bool:
     Edges sharing an endpoint never cross; nested or disjoint intervals do
     not cross either.
     """
-    a = normalize_edge(e1)
-    b = normalize_edge(e2)
-    if a == b:
-        raise ValidationError(f"crossing is only defined for distinct edges, got {a} twice")
-    lo1, hi1 = _interval(arr, a)
-    lo2, hi2 = _interval(arr, b)
+    (lo1, hi1), (lo2, hi2) = _distinct_spans(arr, e1, e2, "crossing")
     return lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1
 
 
@@ -126,12 +137,7 @@ def dominates(arr: Arrangement, e1: Iterable[int], e2: Iterable[int]) -> bool:
     The dominated edge e2 is the wider one; endpoints may coincide in
     position with e1's.
     """
-    a = normalize_edge(e1)
-    b = normalize_edge(e2)
-    if a == b:
-        raise ValidationError(f"domination is only defined for distinct edges, got {a} twice")
-    lo1, hi1 = _interval(arr, a)
-    lo2, hi2 = _interval(arr, b)
+    (lo1, hi1), (lo2, hi2) = _distinct_spans(arr, e1, e2, "domination")
     return lo2 <= lo1 and hi1 <= hi2
 
 
@@ -139,10 +145,7 @@ def _iter_crossings(g: Graph, arr: Arrangement) -> Iterator[tuple[Edge, Edge]]:
     """Yield each crossing pair of g's edges in arr, in sorted edge order."""
     _check_arity(g, arr)
     pos = arr.positions
-    spans = []
-    for u, v in g.sorted_edges:
-        pu, pv = pos[u], pos[v]
-        spans.append(((u, v), (pu, pv) if pu < pv else (pv, pu)))
+    spans = [(e, _span(pos, e)) for e in g.sorted_edges]
     for (e1, (lo1, hi1)), (e2, (lo2, hi2)) in combinations(spans, 2):
         if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
             yield e1, e2

@@ -79,8 +79,13 @@ class Graph:
             raise ValidationError(f"graph order must be an integer, got {self.order!r}") from None
         if self.order < 0:
             raise ValidationError(f"graph order must be nonnegative, got {self.order}")
+        try:
+            pairs = iter(self.edges)
+        except TypeError:
+            raise ValidationError(
+                f"graph edges must be an iterable of vertex pairs, got {self.edges!r}") from None
         norm = set()
-        for e in self.edges:
+        for e in pairs:
             u, v = normalize_edge(e)
             if v >= self.order or u < 0:
                 raise ValidationError(
@@ -107,16 +112,8 @@ class Graph:
         return tuple(masks)
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.order)]
-        for u, v in self.sorted_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in adj)
-
-    @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(ns) for ns in self.neighbors))
+        return tuple(sorted(m.bit_count() for m in self.neighbor_masks))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={sorted(self.edges)})"
@@ -142,21 +139,25 @@ def pentagon_with_chord() -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (vacuously for order 0)."""
-    if g.order <= 1:
-        return True
-    masks = g.neighbor_masks
-    seen = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        m = masks[v] & ~seen
-        while m:
-            w = (m & -m).bit_length() - 1
-            seen |= 1 << w
-            frontier.append(w)
-            m &= m - 1
-    return seen == (1 << g.order) - 1
+    """True when g has at most one connected component (vacuously for order 0)."""
+    return len(_components(g.neighbor_masks, (1 << g.order) - 1)) <= 1
+
+
+def _components(nbrs: Sequence[int], within: int) -> list[int]:
+    """The connected components, as masks, of the subgraph induced by `within`
+    in the graph with neighbour masks `nbrs`, by lowest vertex."""
+    pieces = []
+    while within:
+        comp = todo = within & -within
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = nbrs[low.bit_length() - 1] & within & ~comp
+            comp |= new
+            todo |= new
+        within ^= comp
+        pieces.append(comp)
+    return pieces
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -571,6 +572,10 @@ def enumerate_connected_outerplanar_graphs(order: int) -> Iterator[Graph]:
 
 
 def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
+    try:
+        order = index(order)
+    except TypeError:
+        raise ValidationError(f"enumeration needs an integer order, got {order!r}") from None
     if order < 1:
         raise ValidationError(f"enumeration needs order >= 1, got {order}")
     reps = _all_graph_reps(order, True) if outerplanar else _all_graph_reps(order)

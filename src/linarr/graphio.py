@@ -207,6 +207,9 @@ def parse_arrangement(text: str, doc: GraphDocument) -> Arrangement:
 
 
 def emit_arrangement(arr: Arrangement, labels: Sequence[str]) -> str:
+    """The arrangement as its labels in position order, comma-separated."""
+    if len(labels) != len(arr):
+        raise ValidationError(f"got {len(labels)} labels for a graph of order {len(arr)}")
     return ",".join(map(labels.__getitem__, arr.vertex_order()))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arrangement import Arrangement, _check_arity
+from .arrangement import Arrangement, _check_arity, _span
 from .errors import ValidationError
 from .graph import Graph
 from .graphio import default_labels
@@ -23,16 +23,11 @@ def _spine(g: Graph, arr: Arrangement, labels: Sequence[str] | None):
     labels = tuple(labels) if labels is not None else default_labels(g)
     if len(labels) != g.order:
         raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")
-    pos = arr.positions
+    spine = [labels[v] for v in arr.vertex_order()]
     # Arcs as (left position, right position, left label, right label).
-    arcs = []
-    for u, v in g.sorted_edges:
-        pu, pv = pos[u], pos[v]
-        if pu > pv:
-            u, v, pu, pv = v, u, pv, pu
-        arcs.append((pu, pv, labels[u], labels[v]))
-    arcs.sort()
-    return [labels[v] for v in arr.vertex_order()], arcs
+    arcs = sorted((lo, hi, spine[lo - 1], spine[hi - 1])
+                  for lo, hi in (_span(arr.positions, e) for e in g.sorted_edges))
+    return spine, arcs
 
 
 def _quote(s: str) -> str:

@@ -7,23 +7,14 @@ solver, which enumerates every arrangement of the vertices onto positions
 1..n and lists every optimum, is kept as its reference. The crossing-free
 solver, `iter_crossing_free` and the claim checker share one prefix
 search, which drops a prefix as soon as some edge, placed or still to
-come, must cross. Two more exact rules drop
-prefixes that no crossing-free arrangement extends. The edge-count rule
-answers a graph with more than 2n - 3 edges with nothing. The cut-vertex
-pocket rule (rule (d) in ROADMAP.md): while some placed vertex has an
-unplaced neighbour, a vertex v with no placed neighbour is placed only if
-an unplaced neighbour b of the last such vertex t cuts v off from every
-placed vertex. Proof: let b be the neighbour of t placed first
-after t. The edge (t, b) is then the innermost edge over v's position,
-and every vertex from v up to b has all its neighbours in that range, so
-v's component of G - b is unplaced. A 2-connected graph has no cut
-vertex, so there every vertex after the first has a placed neighbour when
-it is placed. The solver also drops prefixes by the subset DP's exact
-cost-to-go, expands a prefix that only ties the best cost once the
-optimum is known, and it answers a graph that is not outerplanar, which
-has no crossing-free arrangement, with None from the linear-time
-outerplanarity test before it builds any table. Twins, vertices with the
-same neighbours apart from each other, can swap without changing cost or
+come, must cross, and by two more exact rules, on edge count and on
+cut-vertex pockets (`_crossing_free_search` states and proves them all).
+The solver also drops prefixes by the subset DP's exact cost-to-go,
+expands a prefix that only ties the best cost once the optimum is known,
+and it answers a graph that is not outerplanar, which has no
+crossing-free arrangement, with None from the linear-time outerplanarity
+test before it builds any table. Twins, vertices with the same
+neighbours apart from each other, can swap without changing cost or
 crossings, so the solver searches one twin-sorted optimum per orbit of
 such swaps, and of each mirror pair only the smaller member. Only when it
 lists the witnesses does it expand the orbits; `compute_gap` needs only
@@ -32,9 +23,9 @@ reversal, so every solver lists its optima up to reversal: of each mirror
 pair only the member that precedes its mirror, and `reverse` gives the
 other. The claim checker walks the same search without the bound: one
 arrangement per orbit of mirroring and of swaps of twins off the cycle,
-on which both verdicts are constant. It counts every member of
-each orbit, so a graph with no crossing-free arrangement reports 0, and
-both claims then hold vacuously.
+on which both verdicts are constant. It counts every member of each
+orbit, so a graph with no crossing-free arrangement reports 0, and both
+claims then hold vacuously.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
 ValidationError instead of running for hours; the crossing-free solver
 builds the subset DP's tables and shares its limit, and it refuses to list
@@ -54,7 +45,8 @@ from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
 from .errors import ValidationError
-from .graph import Edge, Graph, _bits_of, _twin_masks, is_outerplanar, normalize_edge
+from .graph import (Edge, Graph, _bits_of, _components, _twin_masks, is_outerplanar,
+                    normalize_edge)
 
 SOLVER_EXHAUSTIVE = "exhaustive"
 SOLVER_DP = "subset-dp"
@@ -315,22 +307,6 @@ def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> SolveResult
     return SolveResult(opt, (Arrangement._trusted(pos),), size, SOLVER_DP)
 
 
-def _components(nbrs: Sequence[int], within: int) -> list[int]:
-    """The connected components, as masks, of the subgraph induced by `within`."""
-    pieces = []
-    while within:
-        comp = todo = within & -within
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = nbrs[low.bit_length() - 1] & within & ~comp
-            comp |= new
-            todo |= new
-        within ^= comp
-        pieces.append(comp)
-    return pieces
-
-
 def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
                           togo: Sequence[int] | None = None
                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -439,7 +415,6 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
     if n >= 2 and g.size > 2 * n - 3:
         return iter(())
     nbrs = g.neighbor_masks
-    adj = g.neighbors
     full = (1 << n) - 1
     # The mirror break's prefix size (-1: no break), and the middle
     # position, which for odd n also needs vertex 1 placed.
@@ -537,17 +512,18 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
             # the top t of the stack among its neighbours. The others, free
             # & ~reach, need a pocket: a component of G - b, for an
             # unplaced neighbour b of t, with no placed vertex.
-            t = stack[-1]
-            m = nbrs[t] & free
+            m = later = nbrs[stack[-1]] & free
             if free & ~reach:
-                for b in adj[t]:
-                    if free >> b & 1:
-                        pieces = split[b]
-                        if pieces is None:
-                            pieces = split[b] = _components(nbrs, full ^ 1 << b)
-                        for c in pieces:
-                            if not c & placed:
-                                m |= c
+                while later:
+                    low = later & -later
+                    later ^= low
+                    b = low.bit_length() - 1
+                    pieces = split[b]
+                    if pieces is None:
+                        pieces = split[b] = _components(nbrs, full ^ low)
+                    for c in pieces:
+                        if not c & placed:
+                            m |= c
 
     return walk()
 
@@ -557,6 +533,11 @@ def _twin_cells_off(g: Graph, fixed: int) -> list[int]:
     `fixed`, as masks; only cells left with two or more members."""
     return [c for c in dict.fromkeys(m & ~fixed for m in _twin_masks(g.neighbor_masks))
             if c.bit_count() > 1]
+
+
+def _swaps(cells: Sequence[int]) -> int:
+    """prod(|cell|!): the number of permutations inside the twin cells."""
+    return math.prod(math.factorial(c.bit_count()) for c in cells)
 
 
 def _twin_sorted_optima(g: Graph, ahead: Sequence[int]
@@ -632,9 +613,7 @@ def solve_planar_minla(g: Graph) -> SolveResult | None:
     if not is_outerplanar(g):
         return None
     optimum, optima, explored, cells = _twin_sorted_optima(g, _subset_tables(g)[1])
-    total = len(optima)
-    for cell in cells:
-        total *= math.factorial(cell.bit_count())
+    total = len(optima) * _swaps(cells)
     if total > MAX_PLANAR_WITNESSES:
         raise ValidationError(
             f"the {SOLVER_PLANAR} solver lists at most {MAX_PLANAR_WITNESSES:,} optimal "
@@ -699,7 +678,12 @@ class ClaimReport:
 
 
 def _validate_cycle(g: Graph, cycle_edges) -> tuple[Edge, ...]:
-    edges = tuple(sorted(normalize_edge(e) for e in cycle_edges))
+    try:
+        pairs = iter(cycle_edges)
+    except TypeError:
+        raise ValidationError(
+            f"cycle edges must be an iterable of vertex pairs, got {cycle_edges!r}") from None
+    edges = tuple(sorted(map(normalize_edge, pairs)))
     if len(set(edges)) != len(edges):
         raise ValidationError("cycle edge set contains duplicates")
     for e in edges:
@@ -774,9 +758,7 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     for u, v in cyc:
         fixed |= 1 << u | 1 << v
     cells = _twin_cells_off(g, fixed)
-    orbit = 2
-    for c in cells:
-        orbit *= math.factorial(c.bit_count())
+    orbit = 2 * _swaps(cells)
     members = list(map(_bits_of, cells))
     count = 0
     # The first failure of each claim so far, as (vertex order, edge).

@@ -45,6 +45,10 @@ class TestArrangement:
         with pytest.raises(ValidationError, match=r"^vertex 1\.5 is not an integer$"):
             Arrangement.from_vertex_order([0, 1.5])
 
+    def test_rejects_vertex_order_that_is_not_a_sequence(self):
+        with pytest.raises(ValidationError, match=r"^vertex order 5 is not a sequence$"):
+            Arrangement.from_vertex_order(5)
+
     def test_trusted_and_validated_instances_agree(self):
         # The solvers build witnesses without the bijection check; those
         # must be indistinguishable from checked ones.

@@ -176,6 +176,33 @@ class TestMakeGraph:
                                match=r"^graph order must be an integer, got "):
                 linarr.graph.Graph(order)
 
+    @pytest.mark.parametrize("build", [lambda: make_graph(3, 5),
+                                       lambda: linarr.graph.Graph(3, None)],
+                             ids=["make_graph", "Graph"])
+    def test_edges_that_are_not_iterable_rejected(self, build):
+        with pytest.raises(ValidationError,
+                           match=r"^graph edges must be an iterable of vertex pairs, got "):
+            build()
+
+    def test_adjacency_views(self, pentagon):
+        # The neighbour masks are the one adjacency view; the sorted
+        # neighbour tuples are gone.
+        assert pentagon.neighbor_masks == (0b10010, 0b01101, 0b01010, 0b10110, 0b01001)
+        assert pentagon.degree_sequence == (2, 2, 2, 3, 3)
+        assert not hasattr(pentagon, "neighbors")
+
+
+class TestIsConnected:
+    def test_matches_oracle_on_every_labelled_graph(self):
+        # Orders 0 and 1 and the disconnected graphs reach is_connected
+        # nowhere else: enumeration hands it only representatives.
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                assert is_connected(make_graph(n, edges)) == oracle_is_connected(n, edges), \
+                    (n, edges)
+
 
 class TestIsomorphism:
     def test_identity(self, pentagon):
@@ -404,7 +431,7 @@ class TestEnumeration:
         # The fact behind the outerplanar stream's cap |S| <= 2.
         for n in range(1, 9):
             for g in _all_graph_reps(n, True):
-                assert min(map(len, g.neighbors)) <= 2, g
+                assert min(m.bit_count() for m in g.neighbor_masks) <= 2, g
 
     def test_order_nine_outerplanar_stream_is_pinned(self):
         # 3,783 connected classes: OEIS A111563.
@@ -441,6 +468,14 @@ class TestEnumeration:
     def test_rejects_order_zero(self):
         with pytest.raises(ValidationError):
             list(enumerate_connected_graphs(0))
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_connected_graphs,
+                                            enumerate_connected_outerplanar_graphs])
+    def test_rejects_non_integer_order(self, enumerate_):
+        for order in ("3", 2.5, None):
+            with pytest.raises(ValidationError,
+                               match=r"^enumeration needs an integer order, got "):
+                list(enumerate_(order))
 
 
 class TestMinKey:

@@ -194,6 +194,14 @@ class TestArrangementText:
         for text in ("x,y,z", "z,x,y", "y,z,x"):
             assert emit_arrangement(parse_arrangement(text, doc), doc.labels) == text
 
+    @pytest.mark.parametrize("labels", [("a", "b", "c", "d"), ("a", "b", "c", "d", "e", "f")])
+    def test_label_count_must_match(self, labels):
+        # Too few labels once raised IndexError; too many were ignored.
+        arr = Arrangement.from_vertex_order([0, 4, 1, 3, 2])
+        with pytest.raises(ValidationError,
+                           match=rf"^got {len(labels)} labels for a graph of order 5$"):
+            emit_arrangement(arr, labels)
+
     def test_unknown_label(self):
         doc = parse_graph(PENTAGON_TEXT)
         with pytest.raises(UnknownLabelError):

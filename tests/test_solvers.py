@@ -221,7 +221,7 @@ class UnreadableGraph(Graph):
     def sorted_edges(self):
         raise AssertionError("work before order check")
 
-    neighbors = neighbor_masks = sorted_edges
+    neighbor_masks = sorted_edges
 
 
 class TestOrderLimits:
@@ -681,6 +681,13 @@ class TestClaims:
     def test_edge_that_is_not_a_pair_rejected(self, pentagon):
         with pytest.raises(ValidationError, match="not a pair of vertices"):
             check_dominating_edge_claims(pentagon, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("cycle", [5, None])
+    def test_cycle_that_is_not_iterable_rejected(self, cycle):
+        triangle = make_graph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValidationError,
+                           match=r"^cycle edges must be an iterable of vertex pairs, got "):
+            check_dominating_edge_claims(triangle, cycle)
 
     def test_two_disjoint_triangles_rejected(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
