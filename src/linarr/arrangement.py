@@ -18,6 +18,12 @@ from .errors import ValidationError
 from .graph import Edge, Graph, normalize_edge
 
 
+# Bound once: `_trusted` runs once per witness, up to MAX_PLANAR_WITNESSES
+# times in one solve.
+_new = object.__new__
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, order=True)
 class Arrangement:
     """A bijection vertex -> position; positions[v] is the 1-based position of v."""
@@ -30,7 +36,7 @@ class Arrangement:
         except TypeError:
             raise ValidationError(
                 f"positions {self.positions!r} are not a sequence of integers") from None
-        object.__setattr__(self, "positions", positions)
+        _set(self, "positions", positions)
         n = len(self.positions)
         if sorted(self.positions) != list(range(1, n + 1)):
             raise ValidationError(
@@ -41,8 +47,8 @@ class Arrangement:
     def _trusted(cls, positions: tuple[int, ...]) -> Arrangement:
         """Wrap a tuple of ints already known to be a bijection onto 1..n,
         skipping the check; the solvers build their witnesses this way."""
-        arr = object.__new__(cls)
-        object.__setattr__(arr, "positions", positions)
+        arr = _new(cls)
+        _set(arr, "positions", positions)
         return arr
 
     @classmethod

@@ -4,13 +4,15 @@ Subcommands: minla, planar-minla, verify, gap, search, claims, render.
 Graphs are read from a file path (or '-' for stdin) in edge-list or JSON
 format, auto-detected. Every subcommand accepts --json for a stable
 machine-readable report. Exit codes: 0 success, 1 validation error,
-2 parse/usage error.
+2 parse/usage error or unreadable input, 3 output error (stdout could not
+be written, e.g. a closed pipe or a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Sequence
@@ -20,6 +22,7 @@ from .errors import ParseError, ValidationError
 from .gap_search import GapReport, compute_gap, search_gap_graphs
 from .graphio import (
     GraphDocument,
+    _emit_arrangements,
     default_labels,
     emit_arrangement,
     parse_arrangement,
@@ -36,18 +39,26 @@ from .solvers import (
 )
 
 
+class _UnreadableInput(Exception):
+    """The input could not be read; the message is the OSError's. Any other
+    OSError that reaches `run_cli` comes from writing stdout."""
+
+
 def _read_text(path: str) -> str:
     """The input's text, decoded as strict UTF-8 from the file's bytes or
     from stdin's, whatever the locale; a stdin with no byte buffer beneath
     it, an in-memory text stream, is read as text."""
-    if path == "-":
-        stream = getattr(sys.stdin, "buffer", None)
-        if stream is None:
-            return sys.stdin.read()
-        data = stream.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    try:
+        if path == "-":
+            stream = getattr(sys.stdin, "buffer", None)
+            if stream is None:
+                return sys.stdin.read()
+            data = stream.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as exc:
+        raise _UnreadableInput(exc) from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -63,10 +74,6 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _witness_strings(witnesses, labels) -> list[str]:
-    return [emit_arrangement(a, labels) for a in witnesses]
-
-
 def _cmd_minla(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
     solve = {
@@ -76,14 +83,17 @@ def _cmd_minla(args: argparse.Namespace) -> int:
     result = solve(doc.graph)
     witness = emit_arrangement(result.best, doc.labels)
     if args.json:
-        _print_json({
+        report = {
             "command": "minla",
             "solver": result.solver_id,
             "optimal_cost": result.optimal_cost,
             "witness": witness,
-            "witnesses": _witness_strings(result.witnesses, doc.labels),
+            "witnesses": _emit_arrangements(result.witnesses, doc.labels),
             "explored": result.explored,
-        })
+        }
+        # The encoder needs only the strings: free the witnesses first.
+        del result
+        _print_json(report)
     else:
         print(f"optimal cost: {result.optimal_cost}")
         print(f"witness: {witness}")
@@ -107,14 +117,17 @@ def _cmd_planar_minla(args: argparse.Namespace) -> int:
         return 0
     witness = emit_arrangement(result.best, doc.labels)
     if args.json:
-        _print_json({
+        report = {
             "command": "planar-minla",
             "planar_arrangement_exists": True,
             "optimal_cost": result.optimal_cost,
             "witness": witness,
-            "witnesses": _witness_strings(result.witnesses, doc.labels),
+            "witnesses": _emit_arrangements(result.witnesses, doc.labels),
             "explored": result.explored,
-        })
+        }
+        # The encoder needs only the strings: free the witnesses first.
+        del result
+        _print_json(report)
     else:
         print(f"optimal cost: {result.optimal_cost}")
         print(f"witness: {witness}")
@@ -331,20 +344,33 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a failed write is reported like any other.
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    code = run_cli(sys.argv[1:])
+    if code == 3:
+        # What stdout still buffers would fail again, with a traceback, in
+        # the flush at exit: send it to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -572,16 +572,20 @@ def enumerate_connected_outerplanar_graphs(order: int) -> Iterator[Graph]:
 
 
 def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
+    """Check the order at once; the representatives are built when the
+    returned stream is first advanced."""
     try:
         order = index(order)
     except TypeError:
         raise ValidationError(f"enumeration needs an integer order, got {order!r}") from None
     if order < 1:
         raise ValidationError(f"enumeration needs order >= 1, got {order}")
-    reps = _all_graph_reps(order, True) if outerplanar else _all_graph_reps(order)
-    for g in reps:
-        if is_connected(g):
-            yield g
+
+    def stream() -> Iterator[Graph]:
+        reps = _all_graph_reps(order, True) if outerplanar else _all_graph_reps(order)
+        yield from filter(is_connected, reps)
+
+    return stream()
 
 
 def is_outerplanar(g: Graph) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .errors import ParseError, UnknownLabelError, ValidationError
@@ -208,9 +208,27 @@ def parse_arrangement(text: str, doc: GraphDocument) -> Arrangement:
 
 def emit_arrangement(arr: Arrangement, labels: Sequence[str]) -> str:
     """The arrangement as its labels in position order, comma-separated."""
-    if len(labels) != len(arr):
-        raise ValidationError(f"got {len(labels)} labels for a graph of order {len(arr)}")
-    return ",".join(map(labels.__getitem__, arr.vertex_order()))
+    return _emit_arrangements((arr,), labels)[0]
+
+
+def _emit_arrangements(arrangements: Iterable[Arrangement], labels: Sequence[str]) -> list[str]:
+    """`emit_arrangement` of each arrangement, in order.
+
+    Each label is written straight into the slot of its vertex's position,
+    one pass over the positions per arrangement, into one list reused
+    across arrangements.
+    """
+    n = len(labels)
+    line = [""] * n
+    out = []
+    for arr in arrangements:
+        positions = arr.positions
+        if len(positions) != n:
+            raise ValidationError(f"got {n} labels for a graph of order {len(positions)}")
+        for label, p in zip(labels, positions):
+            line[p - 1] = label
+        out.append(",".join(line))
+    return out
 
 
 def parse_edge_subset(text: str, doc: GraphDocument) -> list[tuple[int, int]]:

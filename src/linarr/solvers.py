@@ -75,11 +75,12 @@ MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
 # Most optima the crossing-free solver lists. The count is known before any
 # witness is built, so a graph above it is refused at once. The 10-star's
-# 362,880 optima up to reversal take 1.6 s and 167 MB of peak RSS as one
+# 362,880 optima up to reversal take 1.2 s and 127 MB of peak RSS as one
 # `planar-minla --json` request on one Xeon core under CPython 3.11, and as
-# many on 12 vertices with 3-letter labels 2.0 s and 199 MB; so a request
-# under the cap stays within about 300 MB and 3 s. The 11-star has
-# 1,814,400 optima up to reversal and the 12-star 39,916,800.
+# many on 12 vertices with 3-letter labels (a 9-leaf star with a 2-vertex
+# path on its centre) 1.3 s and 139 MB; so a request under the cap stays
+# within about 200 MB and 2 s. The 11-star has 1,814,400 optima up to
+# reversal and the 12-star 39,916,800.
 MAX_PLANAR_WITNESSES = 500_000
 
 

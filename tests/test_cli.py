@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -75,6 +76,16 @@ STAR12_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghijkl")
 # only and the witnesses were expanded from those: the output differs from
 # the one before only in "explored", 20164 -> 8.
 STAR9_PLANAR_SHA256 = "335ffede8b9e3989b3bb7cc7a50ce1cf8dd2fe7ed2e01e885b743ddea6f00f8c"
+# C10 a..j with the chords a-f and g-j: outerplanar and twin-free, so the
+# search reaches every optimum itself and none is expanded from twin swaps.
+C10_CHORDS_TEXT = "".join(f"{u} {v}\n" for u, v in zip("abcdefghij", "bcdefghija")) + "a f\ng j\n"
+# A 7-cycle a..g with the chord a-d: 16 optima up to reversal.
+C7_CHORD_TEXT = "a b\nb c\nc d\nd e\ne f\nf g\ng a\na d\n"
+# sha256 of `linarr planar-minla <C10 with chords> --json` and of `linarr
+# minla <C7 with chord> --solver exhaustive --json` stdout, taken while each
+# witness was still emitted through its own `Arrangement.vertex_order()`.
+C10_CHORDS_PLANAR_SHA256 = "588464a419423fdafc9513ec9b2b2e4501ce588efa3f867d605a6cb05fa9e019"
+C7_CHORD_EXHAUSTIVE_SHA256 = "43330150dffabaf098abad12dd7e912b8041750d6b0160a584f1ca11e74df2a1"
 
 
 @pytest.fixture
@@ -132,6 +143,14 @@ class TestMinla:
         assert payload["witnesses"] == ["a,e,b,d,c"]
         assert payload["explored"] == 2 ** 5
 
+    def test_exhaustive_json_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "c7.edges"
+        path.write_text(C7_CHORD_TEXT)
+        code, out, _ = run(capsys, "minla", str(path), "--solver", "exhaustive", "--json")
+        assert code == 0
+        assert len(json.loads(out)["witnesses"]) == 16
+        assert hashlib.sha256(out.encode()).hexdigest() == C7_CHORD_EXHAUSTIVE_SHA256
+
     @pytest.mark.parametrize("solver, limit", [("dp", MAX_ORDER_DP),
                                                ("exhaustive", MAX_ORDER_EXHAUSTIVE)])
     def test_order_limit_is_validation_error(self, capsys, tmp_path, solver, limit):
@@ -182,6 +201,14 @@ class TestPlanarMinla:
         code, out, _ = run(capsys, "planar-minla", str(path), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == STAR9_PLANAR_SHA256
+
+    def test_twin_free_json_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "c10.edges"
+        path.write_text(C10_CHORDS_TEXT)
+        code, out, _ = run(capsys, "planar-minla", str(path), "--json")
+        assert code == 0
+        assert len(json.loads(out)["witnesses"]) == 7
+        assert hashlib.sha256(out.encode()).hexdigest() == C10_CHORDS_PLANAR_SHA256
 
     def test_order_limit_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "big.edges"
@@ -382,13 +409,70 @@ class TestExitCodes:
         assert "'a,b'" in err
 
 
+class FailingStdout(io.StringIO):
+    """A stdout whose every write raises `error`."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")])
+    def test_failed_write_is_3(self, capsys, monkeypatch, tmp_path, error):
+        path = tmp_path / "star9.edges"
+        path.write_text(STAR9_TEXT)
+        monkeypatch.setattr("sys.stdout", FailingStdout(error))
+        code = run_cli(["planar-minla", str(path), "--json"])
+        assert code == 3
+        assert capsys.readouterr().err == f"cannot write output: {error}\n"
+
+    def test_unread_input_stays_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdout", FailingStdout(BrokenPipeError(errno.EPIPE, "x")))
+        assert run_cli(["minla", str(tmp_path / "nope.edges")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read input: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_in_a_fresh_process(self, pentagon_file):
+        # The report fits stdout's buffer, so only the flush can fail; the
+        # flush at exit then has nothing left to fail on.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "linarr", "minla", pentagon_file],
+                                  env=fresh_env(), stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
+
+    def test_closed_pipe_in_a_fresh_process(self, tmp_path):
+        # The 9-star report is far larger than a pipe's buffer, so the write
+        # fails once the reader has gone, whenever that happens.
+        path = tmp_path / "star9.edges"
+        path.write_text(STAR9_TEXT)
+        proc = subprocess.Popen([sys.executable, "-m", "linarr", "planar-minla", str(path),
+                                 "--json"], env=fresh_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3
+        assert err == "cannot write output: [Errno 32] Broken pipe\n"
+
+
+def fresh_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(linarr.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_fresh(*argv, preexec_fn=None):
     """`python -m linarr ARGV` in a new interpreter: (exit code, stdout,
     stderr). `preexec_fn` runs in the child before the interpreter starts."""
-    src = str(Path(linarr.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "linarr", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "linarr", *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -477,6 +477,23 @@ class TestEnumeration:
                                match=r"^enumeration needs an integer order, got "):
                 list(enumerate_(order))
 
+    @pytest.mark.parametrize("enumerate_", [enumerate_connected_graphs,
+                                            enumerate_connected_outerplanar_graphs])
+    @pytest.mark.parametrize("order", [0, "3"])
+    def test_order_is_checked_at_the_call(self, enumerate_, order):
+        # The call itself raises, before the stream is advanced.
+        with pytest.raises(ValidationError, match=r"^enumeration needs "):
+            enumerate_(order)
+
+    def test_representatives_are_built_when_advanced(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(linarr.graph, "_all_graph_reps",
+                            lambda *args: built.append(args) or (make_graph(1, []),))
+        stream = enumerate_connected_outerplanar_graphs(4)
+        assert built == []
+        assert list(stream) == [make_graph(1, [])]
+        assert built == [(4, True)]
+
 
 class TestMinKey:
     """The set-first key search against brute force over all orderings."""

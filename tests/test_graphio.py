@@ -19,7 +19,7 @@ from linarr import (
     parse_graph,
     pentagon_with_chord,
 )
-from linarr.graphio import parse_edge_subset
+from linarr.graphio import _emit_arrangements, parse_edge_subset
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
 
@@ -201,6 +201,31 @@ class TestArrangementText:
         with pytest.raises(ValidationError,
                            match=rf"^got {len(labels)} labels for a graph of order 5$"):
             emit_arrangement(arr, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.text("abc_é0", min_size=1, max_size=3), min_size=n, max_size=n, unique=True),
+        st.lists(st.permutations(range(n)), max_size=6))))
+    def test_batch_matches_one_at_a_time(self, case):
+        labels, orders = case
+        arrs = [Arrangement.from_vertex_order(order) for order in orders]
+        got = _emit_arrangements(arrs, labels)
+        assert got == [emit_arrangement(arr, labels) for arr in arrs]
+        # The text read off the vertex order, position by position.
+        assert got == [",".join(labels[v] for v in order) for order in orders]
+
+    def test_batch_of_none_is_empty(self):
+        assert _emit_arrangements([], ("a", "b")) == []
+        assert _emit_arrangements(iter(()), ()) == []
+
+    @pytest.mark.parametrize("labels", [("a", "b", "c", "d"), ("a", "b", "c", "d", "e", "f")])
+    def test_batch_label_count_must_match(self, labels):
+        # The second arrangement is the one that does not fit.
+        arrs = [Arrangement.from_vertex_order(range(len(labels))),
+                Arrangement.from_vertex_order([0, 4, 1, 3, 2])]
+        with pytest.raises(ValidationError,
+                           match=rf"^got {len(labels)} labels for a graph of order 5$"):
+            _emit_arrangements(arrs, labels)
 
     def test_unknown_label(self):
         doc = parse_graph(PENTAGON_TEXT)
