@@ -7,25 +7,25 @@ solver, which enumerates every arrangement of the vertices onto positions
 1..n and lists every optimum, is kept as its reference. The crossing-free
 solver, `iter_crossing_free` and the claim checker share one prefix
 search, which drops a prefix as soon as some edge, placed or still to
-come, must cross, and by two more exact rules, on edge count and on
-cut-vertex pockets (`_crossing_free_search` states and proves them all).
-The solver also drops prefixes by the subset DP's exact cost-to-go,
-expands a prefix that only ties the best cost once the optimum is known,
-and it answers a graph that is not outerplanar, which has no
-crossing-free arrangement, with None from the linear-time outerplanarity
-test before it builds any table. Twins, vertices with the same
-neighbours apart from each other, can swap without changing cost or
-crossings, so the solver searches one twin-sorted optimum per orbit of
-such swaps, and of each mirror pair only the smaller member. Only when it
-lists the witnesses does it expand the orbits; `compute_gap` needs only
-the smallest optimum and does not. Both costs are invariant under
-reversal, so every solver lists its optima up to reversal: of each mirror
-pair only the member that precedes its mirror, and `reverse` gives the
-other. The claim checker walks the same search without the bound: one
-arrangement per orbit of mirroring and of swaps of twins off the cycle,
-on which both verdicts are constant. It counts every member of each
-orbit, so a graph with no crossing-free arrangement reports 0, and both
-claims then hold vacuously.
+come, must cross, and by one more exact rule, on cut-vertex pockets
+(`_crossing_free_search` states and proves both). A graph that is not
+outerplanar has no crossing-free arrangement, so each of the three
+answers it from the linear-time outerplanarity test before any search:
+the solver with None, the stream with nothing, the claim checker with 0
+arrangements, on which both claims hold vacuously. The solver also drops
+prefixes by the subset DP's exact cost-to-go, and expands a prefix that
+only ties the best cost once the optimum is known. Twins, vertices with
+the same neighbours apart from each other, can swap without changing
+cost or crossings, so the solver searches one twin-sorted optimum per
+orbit of such swaps, and of each mirror pair only the smaller member.
+Only when it lists the witnesses does it expand the orbits;
+`compute_gap` needs only the smallest optimum and does not. Both costs
+are invariant under reversal, so every solver lists its optima up to
+reversal: of each mirror pair only the member that precedes its mirror,
+and `reverse` gives the other. The claim checker walks the same search
+without the bound: one arrangement per orbit of mirroring and of swaps
+of twins off the cycle, on which both verdicts are constant, and it
+counts every member of each orbit.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
 ValidationError instead of running for hours; the crossing-free solver
 builds the subset DP's tables and shares its limit, and it refuses to list
@@ -331,15 +331,13 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
     placed, so no placed or future edge can cross them. An open vertex
     leaves the stack only by closing.
 
-    Two more rules drop prefixes that no crossing-free arrangement
-    extends, so they change nothing that is yielded. Other such prefixes
-    are pushed and die a few levels later, when no candidate fits the
-    stack.
+    Callers pass an outerplanar graph, as only those have a crossing-free
+    arrangement (Bernhart & Kainen, "The book thickness of a graph", JCTB
+    27, 1979); the search itself does not test it. One more rule drops
+    prefixes that no crossing-free arrangement extends, so it changes
+    nothing that is yielded. Other such prefixes are pushed and die a few
+    levels later, when no candidate fits the stack.
 
-    Edge-count rule: a graph with a crossing-free arrangement has a
-        one-page book embedding, so it is outerplanar (Bernhart & Kainen,
-        "The book thickness of a graph", JCTB 27, 1979) and has at most
-        2n - 3 edges when n >= 2. A denser graph yields nothing.
     Pocket rule: while the stack is non-empty, with t on top, a
         vertex v with no placed neighbour may be placed only if some
         unplaced neighbour b of t cuts v off from every placed vertex,
@@ -358,19 +356,17 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
         neighbour; the components of each G - b are built on first use.
 
     Cost is the running sum of prefix cuts. The optimum search is given
-    the subset DP's exact cost-to-go togo[S] = ahead[V - S] by a caller
-    that has already rejected every graph that is not outerplanar, so the
-    edge-count rule never answers a graph after its tables are built. A
-    prefix is dropped when its cost plus togo exceeds the best cost
-    yielded so far. A prefix whose bound equals that incumbent is not
-    expanded but deferred: its parent level, with only that candidate
-    left to try, and a copy of the positions go on a list of resume
-    points, which a leaf that lowers the incumbent empties. Leaves that
-    tie are yielded at once. When the depth-first pass ends, the
-    incumbent is the optimum, so the surviving resume points are exactly
-    the deferred prefixes whose bound equals it; they are expanded with
-    ties allowed. No prefix is thus expanded on a tie that later proves
-    non-optimal, and every optimum is yielded.
+    the subset DP's exact cost-to-go togo[S] = ahead[V - S]. A prefix is
+    dropped when its cost plus togo exceeds the best cost yielded so far.
+    A prefix whose bound equals that incumbent is not expanded but
+    deferred: its parent level, with only that candidate left to try, and
+    a copy of the positions go on a list of resume points, which a leaf
+    that lowers the incumbent empties. Leaves that tie are yielded at once.
+    When the depth-first pass ends, the incumbent is the optimum, so the
+    surviving resume points are exactly the deferred prefixes whose bound
+    equals it; they are expanded with ties allowed. No prefix is thus
+    expanded on a tie that later proves non-optimal, and every optimum is
+    yielded.
 
     Mirror break: given `cells`, the search drops a prefix of (n + 1) // 2
     vertices unless it holds vertex 0 and, for odd n with vertex 0 in the
@@ -413,8 +409,6 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
     arrangement: the empty prefix is already complete.
     """
     n = g.order
-    if n >= 2 and g.size > 2 * n - 3:
-        return iter(())
     nbrs = g.neighbor_masks
     full = (1 << n) - 1
     # The mirror break's prefix size (-1: no break), and the middle
@@ -553,11 +547,9 @@ def _twin_sorted_optima(g: Graph, ahead: Sequence[int]
     the cells; the orbit's smallest member is the twin-sorted one, and the
     smaller member of a mirror pair is kept, so the smallest optimum is the
     least of them. The callers check the order limit and outerplanarity,
-    and the class stream of the gap search needs no test, since it builds
-    outerplanar graphs only. The search then always reaches a leaf: an
-    outerplanar graph has a crossing-free arrangement (Bernhart & Kainen
-    1979), so it has crossing-free optima, and the search reaches the
-    orbit of each.
+    or, as the gap search's class stream does, build outerplanar graphs
+    only; such a graph has crossing-free optima, and the search reaches
+    the orbit of each.
     """
     cells = _twin_cells_off(g, 3)
     incumbent = math.inf
@@ -641,8 +633,11 @@ def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:
     Callers may rely on that order: the claim checker examines one
     arrangement per orbit of mirroring and twin swaps, and reports as
     witnesses the first failures in it. The stream is lazy and builds no
-    tables.
+    tables. A graph that is not outerplanar yields nothing after the
+    linear-time `is_outerplanar` test.
     """
+    if not is_outerplanar(g):
+        return
     for _, positions in _crossing_free_search(g):
         yield Arrangement._trusted(positions)
 
@@ -731,9 +726,10 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
     Claim 2: exactly one cycle edge has an interval containing every other
     edge's interval. (Per the domination predicate's convention, "e contains
     all others" means every other edge dominates into e's interval.)
-    A graph with no crossing-free arrangement reports 0 arrangements, and
-    both claims then hold vacuously. A failing claim's witness is its first
-    failure in ascending `vertex_order()`, as `iter_crossing_free` walks.
+    A graph that is not outerplanar has no crossing-free arrangement: once
+    the cycle is validated, `is_outerplanar` answers it with 0 arrangements,
+    and both claims then hold vacuously. A failing claim's witness is its
+    first failure in ascending `vertex_order()`, as `iter_crossing_free` walks.
     Graphs above MAX_ORDER_CLAIMS raise ValidationError before any search.
 
     Only one arrangement per orbit of twin swaps and mirroring is examined,
@@ -749,6 +745,8 @@ def check_dominating_edge_claims(g: Graph, cycle_edges) -> ClaimReport:
             f"the claim checker accepts graphs of order <= {MAX_ORDER_CLAIMS}, got {g.order}"
         )
     cyc = _validate_cycle(g, cycle_edges)
+    if not is_outerplanar(g):
+        return ClaimReport(0, ClaimVerdict(True), ClaimVerdict(True))
     # A cycle edge contains every other edge's interval iff its interval is
     # the hull of the vertices that have edges. Distinct edges never share
     # an interval, so at most one cycle edge does. With no isolated vertex

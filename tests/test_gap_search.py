@@ -110,8 +110,8 @@ class TestComputeGap:
         assert not report.outerplanar
 
     def test_planar_solver_runs_only_on_outerplanar_graphs(self, monkeypatch):
-        # K2,3 passes the engine's edge-count rule, so only the solver's
-        # outerplanarity gate keeps the search from starting on it.
+        # K4 and K2,3 are not outerplanar, so the solver's outerplanarity
+        # gate answers them before the search starts.
         def no_call(*args, **kwargs):
             raise AssertionError("crossing-free search of a non-outerplanar graph")
 

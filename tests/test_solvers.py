@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from conftest import (
     arr_of,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     graphs,
@@ -348,24 +349,26 @@ class TestPlanarSolver:
         assert time.perf_counter() - start < 2.0
 
     def test_too_many_edges_for_outerplanar_builds_no_tables(self, monkeypatch):
-        # The 6-wheel has 12 > 2n - 3 edges, so no crossing-free arrangement.
+        # The 6-wheel, with 12 edges on 7 vertices, is not outerplanar, so the
+        # outerplanarity gate answers it with no crossing-free arrangement.
         wheel = make_graph(7, [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
         assert wheel.size == 12
         assert list(iter_crossing_free(wheel)) == []
 
         def no_tables(g):
-            raise AssertionError("subset tables built for a graph with too many edges")
+            raise AssertionError("subset tables built for a non-outerplanar graph")
 
         monkeypatch.setattr("linarr.solvers._subset_tables", no_tables)
         assert solve_planar_minla(wheel) is None
 
     def test_non_outerplanar_gets_none_before_any_search(self, monkeypatch):
-        # These graphs pass the 2n - 3 edge count, so only the outerplanarity
-        # test keeps them from the tables and the prefix search. They are
-        # chosen by the minor oracle, not by the test the solver uses.
+        # Only the outerplanarity gate keeps these graphs from the tables and
+        # the prefix search, in the solver, the stream and the claim checker
+        # alike. They are chosen by the minor oracle, not by the test the
+        # gates use.
         gated = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)
-                 if g.size <= 2 * n - 3 and not oracle_is_outerplanar(g)]
-        assert len(gated) == 354
+                 if not oracle_is_outerplanar(g)]
+        assert len(gated) == 756
 
         def refuse(*args, **kwargs):
             raise AssertionError("a non-outerplanar graph reached the crossing-free search")
@@ -374,6 +377,13 @@ class TestPlanarSolver:
         monkeypatch.setattr("linarr.solvers._crossing_free_search", refuse)
         for g in gated:
             assert solve_planar_minla(g) is None
+            assert list(iter_crossing_free(g)) == []
+            report = check_dominating_edge_claims(g, simple_cycles(g)[0])
+            assert report.arrangement_count == 0 and report.both_hold
+        # K2,3 with 6 isolated vertices: an unpruned search of its prefixes
+        # grows exponentially with the isolated vertices and yields nothing.
+        k23 = complete_bipartite(2, 3)
+        assert list(iter_crossing_free(make_graph(11, k23.edges))) == []
 
     def test_optima_are_pinned_to_order_seven(self):
         digest, witnesses_digest = hashlib.sha256(), hashlib.sha256()
@@ -688,6 +698,15 @@ class TestClaims:
         with pytest.raises(ValidationError,
                            match=r"^cycle edges must be an iterable of vertex pairs, got "):
             check_dominating_edge_claims(triangle, cycle)
+
+    @pytest.mark.parametrize("cycle, message", [
+        ([(0, 1), (1, 2), (2, 0)], "not an edge of the graph"),
+        ([(0, 2), (2, 1)], "at least 3 edges"),
+    ])
+    def test_malformed_cycle_rejected_before_outerplanarity(self, cycle, message):
+        # K2,3 is not outerplanar, yet its cycle is validated first.
+        with pytest.raises(ValidationError, match=message):
+            check_dominating_edge_claims(complete_bipartite(2, 3), cycle)
 
     def test_two_disjoint_triangles_rejected(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
