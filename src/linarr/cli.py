@@ -74,34 +74,41 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _solve_payload(result, labels) -> dict:
+    """The keys minla and planar-minla share; the best optimum is witnesses[0]."""
+    witnesses = _emit_arrangements(result.witnesses, labels)
+    return {
+        "optimal_cost": result.optimal_cost,
+        "witness": witnesses[0],
+        "witnesses": witnesses,
+        "explored": result.explored,
+    }
+
+
+def _print_solve(result, labels, count: bool) -> None:
+    # Human text shows one witness: emitting all to count them would add over
+    # half to a 10-star request's time and a quarter to its peak memory.
+    print(f"optimal cost: {result.optimal_cost}")
+    print(f"witness: {emit_arrangement(result.best, labels)}")
+    if count:
+        print(f"witnesses up to reversal: {len(result.witnesses)}")
+    print(f"explored: {result.explored}")
+
+
 def _cmd_minla(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
-    solve = {
-        "dp": solve_minla_dp,
-        "exhaustive": solve_minla_exhaustive,
-    }[args.solver]
+    solve = {"dp": solve_minla_dp, "exhaustive": solve_minla_exhaustive}[args.solver]
     result = solve(doc.graph)
-    witness = emit_arrangement(result.best, doc.labels)
     if args.json:
-        report = {
-            "command": "minla",
-            "solver": result.solver_id,
-            "optimal_cost": result.optimal_cost,
-            "witness": witness,
-            "witnesses": _emit_arrangements(result.witnesses, doc.labels),
-            "explored": result.explored,
-        }
+        report = {"command": "minla", "solver": result.solver_id,
+                  **_solve_payload(result, doc.labels)}
         # The encoder needs only the strings: free the witnesses first.
         del result
         _print_json(report)
     else:
-        print(f"optimal cost: {result.optimal_cost}")
-        print(f"witness: {witness}")
         # Only the exhaustive solver collects every optimum; dp returns
         # one, so a count from it would be wrong.
-        if args.solver == "exhaustive":
-            print(f"witnesses up to reversal: {len(result.witnesses)}")
-        print(f"explored: {result.explored}")
+        _print_solve(result, doc.labels, count=args.solver == "exhaustive")
         print(f"solver: {result.solver_id}")
     return 0
 
@@ -114,25 +121,14 @@ def _cmd_planar_minla(args: argparse.Namespace) -> int:
             _print_json({"command": "planar-minla", "planar_arrangement_exists": False})
         else:
             print("no crossing-free arrangement exists")
-        return 0
-    witness = emit_arrangement(result.best, doc.labels)
-    if args.json:
-        report = {
-            "command": "planar-minla",
-            "planar_arrangement_exists": True,
-            "optimal_cost": result.optimal_cost,
-            "witness": witness,
-            "witnesses": _emit_arrangements(result.witnesses, doc.labels),
-            "explored": result.explored,
-        }
+    elif args.json:
+        report = {"command": "planar-minla", "planar_arrangement_exists": True,
+                  **_solve_payload(result, doc.labels)}
         # The encoder needs only the strings: free the witnesses first.
         del result
         _print_json(report)
     else:
-        print(f"optimal cost: {result.optimal_cost}")
-        print(f"witness: {witness}")
-        print(f"witnesses up to reversal: {len(result.witnesses)}")
-        print(f"explored: {result.explored}")
+        _print_solve(result, doc.labels, count=True)
     return 0
 
 
@@ -165,6 +161,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_or_none(arr: Arrangement | None, labels) -> str | None:
+    return None if arr is None else emit_arrangement(arr, labels)
+
+
 def _gap_payload(report: GapReport, labels) -> dict:
     return {
         "minla_opt": report.minla_opt,
@@ -172,43 +172,35 @@ def _gap_payload(report: GapReport, labels) -> dict:
         "gap": report.gap,
         "outerplanar": report.outerplanar,
         "minla_witness": emit_arrangement(report.minla_witness, labels),
-        "planar_witness": (
-            None if report.planar_witness is None
-            else emit_arrangement(report.planar_witness, labels)
-        ),
+        "planar_witness": _emit_or_none(report.planar_witness, labels),
     }
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
-    report = compute_gap(doc.graph)
+    report = _gap_payload(compute_gap(doc.graph), doc.labels)
     if args.json:
-        _print_json({"command": "gap", **_gap_payload(report, doc.labels)})
+        _print_json({"command": "gap", **report})
     else:
-        witness = emit_arrangement(report.minla_witness, doc.labels)
-        print(f"minla optimum: {report.minla_opt} (witness {witness})")
-        if report.planar_opt is None:
+        print(f"minla optimum: {report['minla_opt']} (witness {report['minla_witness']})")
+        if report["planar_opt"] is None:
             print("crossing-free optimum: none (no crossing-free arrangement)")
             print("gap: undefined")
         else:
-            pw = emit_arrangement(report.planar_witness, doc.labels)
-            print(f"crossing-free optimum: {report.planar_opt} (witness {pw})")
-            print(f"gap: {report.gap}")
-        print(f"outerplanar: {'yes' if report.outerplanar else 'no'}")
+            print(f"crossing-free optimum: {report['planar_opt']} "
+                  f"(witness {report['planar_witness']})")
+            print(f"gap: {report['gap']}")
+        print(f"outerplanar: {'yes' if report['outerplanar'] else 'no'}")
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     reports = search_gap_graphs(args.max_order, args.min_gap)
     if args.json:
-        results = []
-        for report in reports:
-            labels = default_labels(report.graph)
-            results.append({
-                "order": report.graph.order,
-                "edges": [list(e) for e in report.graph.sorted_edges],
-                **_gap_payload(report, labels),
-            })
+        results = [{"order": report.graph.order,
+                    "edges": [list(e) for e in report.graph.sorted_edges],
+                    **_gap_payload(report, default_labels(report.graph))}
+                   for report in reports]
         _print_json({
             "command": "search",
             "max_order": args.max_order,
@@ -227,49 +219,41 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verdict_payload(verdict, labels) -> dict:
+    edge = verdict.witness_edge
+    return {
+        "holds": verdict.holds,
+        "witness_arrangement": _emit_or_none(verdict.witness_arrangement, labels),
+        "witness_edge": None if edge is None else [labels[edge[0]], labels[edge[1]]],
+        "note": verdict.note,
+    }
+
+
+_CLAIM_TEXT = {
+    "claim1": "each cycle edge contains all other edges or has adjacent endpoints",
+    "claim2": "exactly one cycle edge contains all other edges",
+}
+
+
 def _cmd_claims(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
     cycle = parse_edge_subset(args.cycle, doc)
     report = check_dominating_edge_claims(doc.graph, cycle)
-
-    def verdict_payload(v) -> dict:
-        return {
-            "holds": v.holds,
-            "witness_arrangement": (
-                None if v.witness_arrangement is None
-                else emit_arrangement(v.witness_arrangement, doc.labels)
-            ),
-            "witness_edge": (
-                None if v.witness_edge is None
-                else [doc.labels[v.witness_edge[0]], doc.labels[v.witness_edge[1]]]
-            ),
-            "note": v.note,
-        }
-
+    verdicts = {name: _verdict_payload(getattr(report, name), doc.labels) for name in _CLAIM_TEXT}
     if args.json:
-        _print_json({
-            "command": "claims",
-            "arrangements_checked": report.arrangement_count,
-            "claim1": verdict_payload(report.claim1),
-            "claim2": verdict_payload(report.claim2),
-        })
+        _print_json({"command": "claims", "arrangements_checked": report.arrangement_count,
+                     **verdicts})
     else:
         print(f"crossing-free arrangements checked: {report.arrangement_count}")
-        for name, verdict, text in (
-            ("claim 1", report.claim1,
-             "each cycle edge contains all other edges or has adjacent endpoints"),
-            ("claim 2", report.claim2,
-             "exactly one cycle edge contains all other edges"),
-        ):
-            if verdict.holds:
-                print(f"{name} ({text}): holds")
+        for number, (name, text) in enumerate(_CLAIM_TEXT.items(), 1):
+            verdict = verdicts[name]
+            head = f"claim {number} ({text})"
+            if verdict["holds"]:
+                print(f"{head}: holds")
             else:
-                arr = emit_arrangement(verdict.witness_arrangement, doc.labels)
-                u, v = verdict.witness_edge
-                print(
-                    f"{name} ({text}): fails at arrangement {arr}, "
-                    f"edge {{{doc.labels[u]},{doc.labels[v]}}} ({verdict.note})"
-                )
+                u, v = verdict["witness_edge"]
+                print(f"{head}: fails at arrangement {verdict['witness_arrangement']}, "
+                      f"edge {{{u},{v}}} ({verdict['note']})")
     return 0
 
 

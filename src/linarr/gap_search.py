@@ -26,6 +26,7 @@ from .solvers import (
     MAX_ORDER_DP,
     MAX_ORDER_SEARCH,
     SOLVER_DP,
+    SolveResult,
     _batched_subset_tables,
     _check_order,
     _minla_dp,
@@ -69,9 +70,17 @@ def compute_gap(g: Graph) -> GapReport:
     cut, ahead = _subset_tables(g)
     if is_outerplanar(g):
         return _gap_report(g, cut, ahead)
-    minla = _minla_dp(g, cut, ahead)
-    return GapReport(graph=g, minla_opt=minla.optimal_cost, planar_opt=None, gap=None,
-                     minla_witness=minla.best, planar_witness=None, outerplanar=False)
+    return _make_report(g, _minla_dp(g, cut, ahead))
+
+
+def _make_report(g: Graph, minla: SolveResult, planar_opt: int | None = None,
+                 planar_witness: Arrangement | None = None) -> GapReport:
+    """Every GapReport, from g's minLA result and its crossing-free optimum
+    and witness; these are None iff g is not outerplanar, and so has no gap."""
+    gap = None if planar_opt is None else planar_opt - minla.optimal_cost
+    return GapReport(graph=g, minla_opt=minla.optimal_cost, planar_opt=planar_opt, gap=gap,
+                     minla_witness=minla.best, planar_witness=planar_witness,
+                     outerplanar=planar_opt is not None)
 
 
 def _gap_report(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> GapReport:
@@ -93,19 +102,9 @@ def _gap_report(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> GapReport
     """
     minla = _minla_dp(g, cut, ahead)
     if is_planar_arrangement(g, minla.best):
-        return GapReport(graph=g, minla_opt=minla.optimal_cost,
-                         planar_opt=minla.optimal_cost, gap=0, minla_witness=minla.best,
-                         planar_witness=minla.best, outerplanar=True)
+        return _make_report(g, minla, minla.optimal_cost, minla.best)
     planar_opt, optima, _, _ = _twin_sorted_optima(g, ahead)
-    return GapReport(
-        graph=g,
-        minla_opt=minla.optimal_cost,
-        planar_opt=planar_opt,
-        gap=planar_opt - minla.optimal_cost,
-        minla_witness=minla.best,
-        planar_witness=Arrangement._trusted(min(optima)),
-        outerplanar=True,
-    )
+    return _make_report(g, minla, planar_opt, Arrangement._trusted(min(optima)))
 
 
 def _reports(graphs: Iterable[Graph]) -> Iterator[GapReport]:

@@ -14,7 +14,7 @@ e.g. "a,e,b,d,c", and edge subsets as "a-b,b-c". So that every emitted
 graph, arrangement and edge can be read back, both graph parsers and
 `emit_graph` reject a label that is empty, contains ",", "-", "#" or
 whitespace, or starts with "{" or "[" (an edge list starting so would be
-detected as JSON).
+detected as JSON), and every emitter refuses a repeated label.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arrangement import Arrangement
 from .errors import ParseError, UnknownLabelError, ValidationError
@@ -170,15 +170,28 @@ def default_labels(g: Graph) -> tuple[str, ...]:
     return tuple(str(v) for v in range(g.order))
 
 
-def emit_graph(g: Graph, labels: Sequence[str] | None = None,
+def _resolve_labels(labels: Iterable[str] | None, g: Graph | None = None) -> tuple[str, ...]:
+    """The labels to emit with, read once from any iterable, or g's default
+    labels for None. A repeated label, or given g a count other than its
+    order, raises ValidationError."""
+    if labels is None and g is not None:
+        labels = default_labels(g)
+    labels = tuple(labels)
+    if g is not None and len(labels) != g.order:
+        raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")
+    if len(set(labels)) != len(labels):
+        raise ValidationError("vertex labels must be unique")
+    return labels
+
+
+def emit_graph(g: Graph, labels: Iterable[str] | None = None,
                format: str = FORMAT_EDGE_LIST) -> str:
     """Serialize a graph; inverse of parse_graph for both formats.
 
-    Labels the parsers would reject raise ParseError here too.
+    Labels the parsers would reject raise ParseError here too, and repeated
+    labels ValidationError.
     """
-    labels = tuple(labels) if labels is not None else default_labels(g)
-    if len(labels) != g.order:
-        raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")
+    labels = _resolve_labels(labels, g)
     for label in labels:
         _check_label(label)
     if format == FORMAT_EDGE_LIST:
@@ -206,18 +219,19 @@ def parse_arrangement(text: str, doc: GraphDocument) -> Arrangement:
     return Arrangement.from_vertex_order(order)
 
 
-def emit_arrangement(arr: Arrangement, labels: Sequence[str]) -> str:
+def emit_arrangement(arr: Arrangement, labels: Iterable[str]) -> str:
     """The arrangement as its labels in position order, comma-separated."""
     return _emit_arrangements((arr,), labels)[0]
 
 
-def _emit_arrangements(arrangements: Iterable[Arrangement], labels: Sequence[str]) -> list[str]:
+def _emit_arrangements(arrangements: Iterable[Arrangement], labels: Iterable[str]) -> list[str]:
     """`emit_arrangement` of each arrangement, in order.
 
     Each label is written straight into the slot of its vertex's position,
     one pass over the positions per arrangement, into one list reused
     across arrangements.
     """
+    labels = _resolve_labels(labels)
     n = len(labels)
     line = [""] * n
     out = []

@@ -8,21 +8,19 @@ deterministic byte for byte.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from .arrangement import Arrangement, _check_arity, _span
 from .errors import ValidationError
 from .graph import Graph
-from .graphio import default_labels
+from .graphio import _resolve_labels
 
 FORMATS = ("dot", "tikz", "svg")
 
 
-def _spine(g: Graph, arr: Arrangement, labels: Sequence[str] | None):
+def _spine(g: Graph, arr: Arrangement, labels: Iterable[str] | None):
     _check_arity(g, arr)
-    labels = tuple(labels) if labels is not None else default_labels(g)
-    if len(labels) != g.order:
-        raise ValidationError(f"got {len(labels)} labels for a graph of order {g.order}")
+    labels = _resolve_labels(labels, g)
     spine = [labels[v] for v in arr.vertex_order()]
     # Arcs as (left position, right position, left label, right label).
     arcs = sorted((lo, hi, spine[lo - 1], spine[hi - 1])
@@ -111,8 +109,11 @@ def _escape(s: str) -> str:
 
 
 def emit_arc_diagram(g: Graph, arr: Arrangement, format: str,
-                     labels: Sequence[str] | None = None) -> str:
-    """Render the arrangement as an arc diagram in DOT, TikZ or SVG."""
+                     labels: Iterable[str] | None = None) -> str:
+    """Render the arrangement as an arc diagram in DOT, TikZ or SVG.
+
+    Repeated labels raise ValidationError: DOT names each node by its label.
+    """
     spine_labels, arcs = _spine(g, arr, labels)
     if format == "dot":
         return _emit_dot(spine_labels, arcs)

@@ -342,6 +342,55 @@ class TestRender:
         assert payload["content"].startswith("<?xml")
 
 
+# Human reports pinned byte for byte: (graph text, arguments after the
+# graph file, stdout). Taken before the human text was printed from the
+# JSON report's strings.
+K23_TEXT = "a c\na d\na e\nb c\nb d\nb e\n"
+# A triangle with two pendants on c: both claims fail on the cycle a-b-c.
+TRIANGLE_PENDANTS_TEXT = "a b\nb c\nc a\nc d\nc e\n"
+CLAIM1 = "claim 1 (each cycle edge contains all other edges or has adjacent endpoints)"
+CLAIM2 = "claim 2 (exactly one cycle edge contains all other edges)"
+HUMAN_PINS = {
+    "minla-dp": (PENTAGON_TEXT, ["minla"],
+                 "optimal cost: 9\nwitness: a,e,b,d,c\nexplored: 32\nsolver: subset-dp\n"),
+    "minla-exhaustive": (PENTAGON_TEXT, ["minla", "--solver", "exhaustive"],
+                         "optimal cost: 9\nwitness: a,e,b,d,c\nwitnesses up to reversal: 4\n"
+                         "explored: 120\nsolver: exhaustive\n"),
+    "planar-minla-pentagon": (PENTAGON_TEXT, ["planar-minla"],
+                              "optimal cost: 10\nwitness: a,b,c,d,e\n"
+                              "witnesses up to reversal: 3\nexplored: 3\n"),
+    "planar-minla-k23": (K23_TEXT, ["planar-minla"], "no crossing-free arrangement exists\n"),
+    "gap-pentagon": (PENTAGON_TEXT, ["gap"],
+                     "minla optimum: 9 (witness a,e,b,d,c)\n"
+                     "crossing-free optimum: 10 (witness a,b,c,d,e)\ngap: 1\nouterplanar: yes\n"),
+    "gap-k23": (K23_TEXT, ["gap"],
+                "minla optimum: 10 (witness c,a,d,b,e)\n"
+                "crossing-free optimum: none (no crossing-free arrangement)\n"
+                "gap: undefined\nouterplanar: no\n"),
+    "claims-hold": (PENTAGON_TEXT, ["claims", "--cycle", "a-b,b-c,c-d,d-e,e-a"],
+                    f"crossing-free arrangements checked: 10\n{CLAIM1}: holds\n{CLAIM2}: holds\n"),
+    "claims-fail": (TRIANGLE_PENDANTS_TEXT, ["claims", "--cycle", "a-b,b-c,c-a"],
+                    "crossing-free arrangements checked: 60\n"
+                    f"{CLAIM1}: fails at arrangement a,b,c,d,e, edge {{a,c}} "
+                    "(cycle edge neither contains all other edges nor has adjacent endpoints)\n"
+                    f"{CLAIM2}: fails at arrangement a,b,c,d,e, edge {{a,c}} "
+                    "(no cycle edge contains all other edges)\n"),
+    "verify-crossing": (PENTAGON_TEXT, ["verify", "a,e,b,d,c"],
+                        "cost: 9\nplanar: no\ncrossing pairs: 2\n"
+                        "  {a,b} x {d,e}\n  {b,c} x {d,e}\n"),
+}
+
+
+@pytest.mark.parametrize("name", HUMAN_PINS)
+def test_human_output_is_pinned(capsys, tmp_path, name):
+    text, args, expected = HUMAN_PINS[name]
+    path = tmp_path / "graph.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, args[0], str(path), *args[1:])
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys, tmp_path):
         path = tmp_path / "bad.edges"

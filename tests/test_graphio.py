@@ -176,6 +176,17 @@ class TestRoundTrip:
             emit_graph(pentagon, ("a", "b"))
 
     @pytest.mark.parametrize("fmt", ["edge-list", "json"])
+    def test_repeated_label_is_not_emitted(self, fmt):
+        # The path a-b-a once came out as "a b\nb a\n", read back as one
+        # edge on two vertices.
+        with pytest.raises(ValidationError, match="vertex labels must be unique"):
+            emit_graph(make_graph(3, [(0, 1), (1, 2)]), ("a", "b", "a"), fmt)
+
+    def test_labels_from_any_iterable(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        assert emit_graph(g, iter("xyz")) == emit_graph(g, ("x", "y", "z"))
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "json"])
     def test_unreadable_label_is_not_emitted(self, fmt):
         # "{a c" would be read back as JSON.
         with pytest.raises(ParseError, match=re.escape("'{a'")):
@@ -201,6 +212,18 @@ class TestArrangementText:
         with pytest.raises(ValidationError,
                            match=rf"^got {len(labels)} labels for a graph of order 5$"):
             emit_arrangement(arr, labels)
+
+    def test_labels_from_any_iterable(self):
+        # An iterator has no len(): the labels are read once into a tuple.
+        arr = Arrangement.from_vertex_order([1, 0])
+        assert emit_arrangement(arr, iter(["a", "b"])) == "b,a"
+        assert emit_arrangement(arr, (label for label in "ab")) == "b,a"
+        assert _emit_arrangements([arr, arr], iter(["a", "b"])) == ["b,a", "b,a"]
+
+    def test_repeated_label_is_refused(self):
+        arr = Arrangement.from_vertex_order([0, 1, 2])
+        with pytest.raises(ValidationError, match="vertex labels must be unique"):
+            emit_arrangement(arr, ("a", "b", "a"))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 9).flatmap(lambda n: st.tuples(

@@ -155,3 +155,19 @@ class TestContract:
     def test_arity_mismatch_rejected(self, pentagon):
         with pytest.raises(ValidationError):
             emit_arc_diagram(pentagon, Arrangement((1, 2)), "dot", LABELS)
+
+    @pytest.mark.parametrize("fmt", ["dot", "tikz", "svg"])
+    def test_repeated_label_rejected(self, fmt):
+        # DOT names nodes by label: the path a-a-b once came out with the
+        # arc "a" -- "a", and Graphviz drew two vertices as one.
+        path = make_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValidationError, match="vertex labels must be unique"):
+            emit_arc_diagram(path, arr_of("abc"), fmt, ("a", "a", "b"))
+
+    def test_label_count_must_match(self, pentagon):
+        with pytest.raises(ValidationError, match="^got 4 labels for a graph of order 5$"):
+            emit_arc_diagram(pentagon, arr_of("abcde"), "dot", LABELS[:4])
+
+    def test_labels_from_any_iterable(self, pentagon):
+        assert (emit_arc_diagram(pentagon, arr_of("aebdc"), "dot", iter(LABELS))
+                == emit_arc_diagram(pentagon, arr_of("aebdc"), "dot", LABELS))
