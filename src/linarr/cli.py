@@ -22,7 +22,7 @@ from .errors import ParseError, ValidationError
 from .gap_search import GapReport, compute_gap, search_gap_graphs
 from .graphio import (
     GraphDocument,
-    _emit_arrangements,
+    _emit_positions,
     default_labels,
     emit_arrangement,
     parse_arrangement,
@@ -32,10 +32,12 @@ from .graphio import (
 from .render import FORMATS, emit_arc_diagram
 from .solvers import (
     MAX_ORDER_SEARCH,
+    _expand_orbits,
+    _planar_optima,
+    _swaps,
     check_dominating_edge_claims,
     solve_minla_dp,
     solve_minla_exhaustive,
-    solve_planar_minla,
 )
 
 
@@ -74,25 +76,27 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _solve_payload(result, labels) -> dict:
-    """The keys minla and planar-minla share; the best optimum is witnesses[0]."""
-    witnesses = _emit_arrangements(result.witnesses, labels)
+def _solve_payload(optimal_cost: int, witnesses, explored: int, labels) -> dict:
+    """The keys minla and planar-minla share, from the witnesses' position
+    tuples in order; the best optimum is witnesses[0]."""
+    witnesses = _emit_positions(witnesses, labels)
     return {
-        "optimal_cost": result.optimal_cost,
+        "optimal_cost": optimal_cost,
         "witness": witnesses[0],
         "witnesses": witnesses,
-        "explored": result.explored,
+        "explored": explored,
     }
 
 
-def _print_solve(result, labels, count: bool) -> None:
-    # Human text shows one witness: emitting all to count them would add over
-    # half to a 10-star request's time and a quarter to its peak memory.
-    print(f"optimal cost: {result.optimal_cost}")
-    print(f"witness: {emit_arrangement(result.best, labels)}")
-    if count:
-        print(f"witnesses up to reversal: {len(result.witnesses)}")
-    print(f"explored: {result.explored}")
+def _print_solve(optimal_cost: int, best: tuple[int, ...], count: int | None,
+                 explored: int, labels) -> None:
+    """The human report: one witness, the best, and the number of witnesses
+    up to reversal unless count is None."""
+    print(f"optimal cost: {optimal_cost}")
+    print(f"witness: {_emit_positions((best,), labels)[0]}")
+    if count is not None:
+        print(f"witnesses up to reversal: {count}")
+    print(f"explored: {explored}")
 
 
 def _cmd_minla(args: argparse.Namespace) -> int:
@@ -101,34 +105,45 @@ def _cmd_minla(args: argparse.Namespace) -> int:
     result = solve(doc.graph)
     if args.json:
         report = {"command": "minla", "solver": result.solver_id,
-                  **_solve_payload(result, doc.labels)}
+                  **_solve_payload(result.optimal_cost,
+                                   (arr.positions for arr in result.witnesses),
+                                   result.explored, doc.labels)}
         # The encoder needs only the strings: free the witnesses first.
         del result
         _print_json(report)
     else:
         # Only the exhaustive solver collects every optimum; dp returns
         # one, so a count from it would be wrong.
-        _print_solve(result, doc.labels, count=args.solver == "exhaustive")
+        count = len(result.witnesses) if args.solver == "exhaustive" else None
+        _print_solve(result.optimal_cost, result.best.positions, count, result.explored,
+                     doc.labels)
         print(f"solver: {result.solver_id}")
     return 0
 
 
 def _cmd_planar_minla(args: argparse.Namespace) -> int:
+    # The witnesses of `solve_planar_minla`, kept as position tuples from the
+    # search to the text: no Arrangement is built for any of them.
     doc = _load_doc(args.graph)
-    result = solve_planar_minla(doc.graph)
-    if result is None:
+    found = _planar_optima(doc.graph)
+    if found is None:
         if args.json:
             _print_json({"command": "planar-minla", "planar_arrangement_exists": False})
         else:
             print("no crossing-free arrangement exists")
-    elif args.json:
+        return 0
+    optimum, optima, explored, cells = found
+    if args.json:
+        witnesses = sorted(_expand_orbits(optima, cells))
         report = {"command": "planar-minla", "planar_arrangement_exists": True,
-                  **_solve_payload(result, doc.labels)}
+                  **_solve_payload(optimum, witnesses, explored, doc.labels)}
         # The encoder needs only the strings: free the witnesses first.
-        del result
+        del witnesses
         _print_json(report)
     else:
-        _print_solve(result, doc.labels, count=True)
+        # Nothing is expanded: the smallest witness is the least twin-sorted
+        # optimum, and every orbit has _swaps(cells) members.
+        _print_solve(optimum, min(optima), len(optima) * _swaps(cells), explored, doc.labels)
     return 0
 
 

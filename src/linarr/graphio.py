@@ -67,40 +67,40 @@ def detect_format(text: str) -> str:
     return FORMAT_JSON if text.lstrip()[:1] in ("{", "[") else FORMAT_EDGE_LIST
 
 
+def _column(body: str, k: int) -> int:
+    """The 1-based column of the k-th whitespace-separated token of body."""
+    return list(_TOKEN.finditer(body))[k].start() + 1
+
+
 def _parse_edge_list(text: str) -> GraphDocument:
-    labels: list[str] = []
+    # Vertex ids in order of first appearance; each label is checked when
+    # first seen, and token columns are found only for an error.
     index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-
-    def vertex(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        tokens = list(_TOKEN.finditer(body))
+        body = line.partition("#")[0]
+        tokens = body.split()
         if not tokens:
             continue
         if len(tokens) > 2:
             raise ParseError(
                 f"expected at most two labels per line, got {len(tokens)}",
-                line=lineno, column=tokens[2].start() + 1,
+                line=lineno, column=_column(body, 2),
             )
-        for token in tokens:
-            _check_label(token.group(), lineno, token.start() + 1)
+        for k, label in enumerate(tokens):
+            if label not in index and _UNREADABLE.search(label):
+                _check_label(label, lineno, _column(body, k))
         if len(tokens) == 1:
-            vertex(tokens[0].group())
+            index.setdefault(tokens[0], len(index))
             continue
-        a, b = tokens[0].group(), tokens[1].group()
+        a, b = tokens
         if a == b:
             raise ParseError(
                 f"self-loop on {a!r} is not a valid edge",
-                line=lineno, column=tokens[1].start() + 1,
+                line=lineno, column=_column(body, 1),
             )
-        edges.append((vertex(a), vertex(b)))
-    return GraphDocument(make_graph(len(labels), edges), tuple(labels), FORMAT_EDGE_LIST)
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+    return GraphDocument(make_graph(len(index), edges), tuple(index), FORMAT_EDGE_LIST)
 
 
 def _parse_json(text: str) -> GraphDocument:
@@ -221,11 +221,12 @@ def parse_arrangement(text: str, doc: GraphDocument) -> Arrangement:
 
 def emit_arrangement(arr: Arrangement, labels: Iterable[str]) -> str:
     """The arrangement as its labels in position order, comma-separated."""
-    return _emit_arrangements((arr,), labels)[0]
+    return _emit_positions((arr.positions,), labels)[0]
 
 
-def _emit_arrangements(arrangements: Iterable[Arrangement], labels: Iterable[str]) -> list[str]:
-    """`emit_arrangement` of each arrangement, in order.
+def _emit_positions(arrangements: Iterable[tuple[int, ...]], labels: Iterable[str]) -> list[str]:
+    """`emit_arrangement` of each arrangement, given as its position tuple
+    (`Arrangement.positions`), in order.
 
     Each label is written straight into the slot of its vertex's position,
     one pass over the positions per arrangement, into one list reused
@@ -235,8 +236,7 @@ def _emit_arrangements(arrangements: Iterable[Arrangement], labels: Iterable[str
     n = len(labels)
     line = [""] * n
     out = []
-    for arr in arrangements:
-        positions = arr.positions
+    for positions in arrangements:
         if len(positions) != n:
             raise ValidationError(f"got {n} labels for a graph of order {len(positions)}")
         for label, p in zip(labels, positions):

@@ -74,12 +74,14 @@ MAX_ORDER_DP = 17
 MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
 # Most optima the crossing-free solver lists. The count is known before any
-# witness is built, so a graph above it is refused at once. The 10-star's
-# 362,880 optima up to reversal take 1.2 s and 127 MB of peak RSS as one
-# `planar-minla --json` request on one Xeon core under CPython 3.11, and as
-# many on 12 vertices with 3-letter labels (a 9-leaf star with a 2-vertex
-# path on its centre) 1.3 s and 139 MB; so a request under the cap stays
-# within about 200 MB and 2 s. The 11-star has 1,814,400 optima up to
+# witness is built, so a graph above it is refused at once; below it every
+# witness is expanded from its orbit, and the whole list sorted, before any
+# is written out. The 10-star's 362,880 optima up to reversal take 0.6 s
+# and 94 MB of peak RSS as one `planar-minla --json` request on one Xeon
+# core under CPython 3.11, and as many on 12 vertices with 3-letter labels
+# (a 9-leaf star with a 2-vertex path on its centre) 0.74 s and 113 MB; so a
+# request under the cap stays within about 150 MB and 1 s. The human
+# report lists none of them. The 11-star has 1,814,400 optima up to
 # reversal and the 12-star 39,916,800.
 MAX_PLANAR_WITNESSES = 500_000
 
@@ -581,6 +583,27 @@ def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int]) -> list[tupl
     return optima
 
 
+def _planar_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
+    """`_twin_sorted_optima` of g as `solve_planar_minla` lists them, or None
+    if g is not outerplanar: the order limit is checked first, and more than
+    MAX_PLANAR_WITNESSES optima in all raise ValidationError before any is
+    expanded. The witnesses are `sorted(_expand_orbits(optima, cells))`; the
+    smallest is `min(optima)` and their count `len(optima) * _swaps(cells)`.
+    """
+    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
+    if not is_outerplanar(g):
+        return None
+    optimum, optima, explored, cells = _twin_sorted_optima(g, _subset_tables(g)[1])
+    total = len(optima) * _swaps(cells)
+    if total > MAX_PLANAR_WITNESSES:
+        raise ValidationError(
+            f"the {SOLVER_PLANAR} solver lists at most {MAX_PLANAR_WITNESSES:,} optimal "
+            f"arrangements, and this graph has {total:,}; `gap` reports the optimum "
+            "and the smallest of them"
+        )
+    return optimum, optima, explored, cells
+
+
 def solve_planar_minla(g: Graph) -> SolveResult | None:
     """Minimize total edge length over crossing-free arrangements only.
 
@@ -602,17 +625,10 @@ def solve_planar_minla(g: Graph) -> SolveResult | None:
     it is outerplanar, so every other graph gets None from the linear-time
     `is_outerplanar` before any table is built or any prefix searched.
     """
-    _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
-    if not is_outerplanar(g):
+    found = _planar_optima(g)
+    if found is None:
         return None
-    optimum, optima, explored, cells = _twin_sorted_optima(g, _subset_tables(g)[1])
-    total = len(optima) * _swaps(cells)
-    if total > MAX_PLANAR_WITNESSES:
-        raise ValidationError(
-            f"the {SOLVER_PLANAR} solver lists at most {MAX_PLANAR_WITNESSES:,} optimal "
-            f"arrangements, and this graph has {total:,}; `gap` reports the optimum "
-            "and the smallest of them"
-        )
+    optimum, optima, explored, cells = found
     witnesses = sorted(_expand_orbits(optima, cells))
     return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored,
                        SOLVER_PLANAR)

@@ -4,11 +4,13 @@ The oracle functions below deliberately avoid the package's solvers and
 predicates: they re-derive costs, crossings and optima straight from the
 definitions, so tests can compare the two code paths. `reference_claims`
 is a reference of another kind: the claim checker's full walk over the
-package's own `iter_crossing_free`.
+package's own `iter_crossing_free`; so is `reference_parse_edge_list`, the
+edge-list parser that finds every token's column and checks every token.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from itertools import combinations, permutations, product
 
@@ -20,10 +22,12 @@ from linarr import (
     ClaimReport,
     ClaimVerdict,
     Graph,
+    ParseError,
     iter_crossing_free,
     make_graph,
     pentagon_with_chord,
 )
+from linarr.graphio import FORMAT_EDGE_LIST, GraphDocument, _check_label
 
 LETTERS = "abcdefghij"
 
@@ -161,6 +165,49 @@ def reference_claims(g: Graph, cycle_edges) -> ClaimReport:
             edge = failing_edge if failing_edge is not None else cyc[0]
             claim2 = ClaimVerdict(False, arr, edge, "no cycle edge contains all other edges")
     return ClaimReport(count, claim1, claim2)
+
+
+_TOKEN = re.compile(r"\S+")
+
+
+def reference_parse_edge_list(text: str) -> GraphDocument:
+    """An edge-list text parsed token by token: every token is found with
+    its column by a regular expression and checked, on every line.
+    `graphio._parse_edge_list` must return the same document, or raise the
+    same error with the same message, line and column."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+
+    def vertex(label: str) -> int:
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        tokens = list(_TOKEN.finditer(body))
+        if not tokens:
+            continue
+        if len(tokens) > 2:
+            raise ParseError(
+                f"expected at most two labels per line, got {len(tokens)}",
+                line=lineno, column=tokens[2].start() + 1,
+            )
+        for token in tokens:
+            _check_label(token.group(), lineno, token.start() + 1)
+        if len(tokens) == 1:
+            vertex(tokens[0].group())
+            continue
+        a, b = tokens[0].group(), tokens[1].group()
+        if a == b:
+            raise ParseError(
+                f"self-loop on {a!r} is not a valid edge",
+                line=lineno, column=tokens[1].start() + 1,
+            )
+        edges.append((vertex(a), vertex(b)))
+    return GraphDocument(make_graph(len(labels), edges), tuple(labels), FORMAT_EDGE_LIST)
 
 
 def simple_cycles(g: Graph) -> list[list[tuple[int, int]]]:
@@ -361,6 +408,26 @@ def labeled_graphs(draw, max_order: int = 7) -> tuple[Graph, tuple[str, ...]]:
 
 
 # Frequently used small graphs.
+
+
+@st.composite
+def connected_outerplanar(draw, max_order: int = 10):
+    """A connected graph with a crossing-free arrangement: a tree grown in
+    position order, each vertex joined to an earlier one that no edge spans,
+    and then chords that cross no edge."""
+    n = draw(st.integers(1, max_order))
+    order = draw(st.permutations(range(n)))
+    spans: list[tuple[int, int]] = []
+    for i in range(1, n):
+        free = [j for j in range(i) if not any(a < j < b for a, b in spans)]
+        spans.append((draw(st.sampled_from(free)), i))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        a, b = min(a, b), max(a, b)
+        if b - a > 1 and (a, b) not in spans and not any(
+                a < c < b < d or c < a < d < b for c, d in spans):
+            spans.append((a, b))
+    return make_graph(n, [(order[a], order[b]) for a, b in spans])
 
 
 def path_graph(n: int) -> Graph:

@@ -10,13 +10,26 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import linarr
 import linarr.cli as cli
-from linarr import emit_arc_diagram, parse_arrangement, parse_graph, run_cli
+from conftest import connected_outerplanar
+from linarr import (
+    Arrangement,
+    emit_arc_diagram,
+    emit_arrangement,
+    emit_graph,
+    enumerate_connected_outerplanar_graphs,
+    parse_arrangement,
+    parse_graph,
+    run_cli,
+    solve_planar_minla,
+)
 from linarr.solvers import (
     MAX_ORDER_CLAIMS,
     MAX_ORDER_DP,
@@ -99,6 +112,19 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def answer(text: str, *argv):
+    """`linarr ARGV` with text on stdin, in this process and without
+    fixtures, as hypothesis tests need: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(list(argv))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestGap:
@@ -235,6 +261,79 @@ class TestPlanarMinla:
         assert out == ""
         assert f"lists at most {MAX_PLANAR_WITNESSES:,} optimal arrangements" in err
         assert "39,916,800" in err
+
+    @pytest.mark.parametrize("text", [STAR9_TEXT, C10_CHORDS_TEXT])
+    def test_json_witnesses_are_the_solvers(self, text):
+        self.check_json_witnesses(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_outerplanar())
+    def test_json_witnesses_are_the_solvers_on_random_graphs(self, g):
+        self.check_json_witnesses(emit_graph(g))
+
+    @staticmethod
+    def check_json_witnesses(text):
+        doc = parse_graph(text)
+        result = solve_planar_minla(doc.graph)
+        code, out, _ = answer(text, "planar-minla", "-", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["witnesses"] == [emit_arrangement(w, doc.labels) for w in result.witnesses]
+        assert (report["optimal_cost"], report["explored"]) == (result.optimal_cost,
+                                                               result.explored)
+
+    @pytest.mark.parametrize("form", [["--json"], []])
+    def test_nine_star_builds_at_most_one_arrangement(self, capsys, monkeypatch, tmp_path,
+                                                      form):
+        # The witnesses stay position tuples from the search to the text.
+        built = []
+        trusted = Arrangement._trusted.__func__
+        checked = Arrangement.__post_init__
+        monkeypatch.setattr(Arrangement, "_trusted", classmethod(
+            lambda cls, positions: built.append(positions) or trusted(cls, positions)))
+        monkeypatch.setattr(Arrangement, "__post_init__",
+                            lambda arr: built.append(arr) or checked(arr))
+        path = tmp_path / "star9.edges"
+        path.write_text(STAR9_TEXT)
+        code, out, _ = run(capsys, "planar-minla", str(path), *form)
+        assert code == 0
+        if form:
+            assert hashlib.sha256(out.encode()).hexdigest() == STAR9_PLANAR_SHA256
+        else:
+            assert "witnesses up to reversal: 20160\n" in out
+        assert len(built) <= 1
+
+    def test_human_count_and_witness_are_the_solvers(self):
+        # The human report expands no orbit: its witness is the least
+        # twin-sorted optimum and its count the orbits' sizes summed.
+        for n in range(1, 8):
+            for g in enumerate_connected_outerplanar_graphs(n):
+                text = emit_graph(g)
+                doc = parse_graph(text)
+                result = solve_planar_minla(doc.graph)
+                assert answer(text, "planar-minla", "-") == (0, (
+                    f"optimal cost: {result.optimal_cost}\n"
+                    f"witness: {emit_arrangement(result.best, doc.labels)}\n"
+                    f"witnesses up to reversal: {len(result.witnesses)}\n"
+                    f"explored: {result.explored}\n"), ""), g
+
+    def test_too_many_witnesses_fail_alike_in_both_forms(self, tmp_path):
+        # As above, under the same 1 GiB cap: the human form expands nothing,
+        # yet refuses the 12-star as the JSON form does.
+        path = tmp_path / "star12.edges"
+        path.write_text(STAR12_TEXT)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        replies = [run_fresh("planar-minla", str(path), *form, preexec_fn=cap_memory)
+                   for form in (["--json"], [])]
+        assert replies[0] == replies[1]
+        code, out, err = replies[0]
+        assert (code, out) == (1, "")
+        assert err == ("validation error: the planar-prefix solver lists at most 500,000 "
+                       "optimal arrangements, and this graph has 39,916,800; `gap` reports "
+                       "the optimum and the smallest of them\n")
 
     def test_no_planar_arrangement(self, capsys, tmp_path):
         path = tmp_path / "k4.edges"

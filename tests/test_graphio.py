@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse_edge_list
 from linarr import (
     Arrangement,
     ParseError,
@@ -19,7 +20,7 @@ from linarr import (
     parse_graph,
     pentagon_with_chord,
 )
-from linarr.graphio import _emit_arrangements, parse_edge_subset
+from linarr.graphio import _emit_positions, _parse_edge_list, parse_edge_subset
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
 
@@ -58,6 +59,24 @@ class TestEdgeListParsing:
 
     def test_empty_text_is_empty_graph(self):
         assert parse_graph("").graph.order == 0
+
+    # Labels, unreadable label characters, comments and whitespace, among it
+    # \x1c-\x1e, which end a line, and \x1f, which separates tokens only.
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["a", "b", "cd", "é", "a,b", " ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+         "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "#", ",", "-", "{", "["]), max_size=24)
+        .map("".join))
+    def test_matches_reference_parser(self, text):
+        try:
+            want = reference_parse_edge_list(text)
+        except (ParseError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _parse_edge_list(text)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+            assert getattr(got.value, "column", None) == getattr(exc, "column", None)
+        else:
+            assert _parse_edge_list(text) == want
 
 
 class TestJsonParsing:
@@ -218,7 +237,7 @@ class TestArrangementText:
         arr = Arrangement.from_vertex_order([1, 0])
         assert emit_arrangement(arr, iter(["a", "b"])) == "b,a"
         assert emit_arrangement(arr, (label for label in "ab")) == "b,a"
-        assert _emit_arrangements([arr, arr], iter(["a", "b"])) == ["b,a", "b,a"]
+        assert _emit_positions([arr.positions, arr.positions], iter(["a", "b"])) == ["b,a", "b,a"]
 
     def test_repeated_label_is_refused(self):
         arr = Arrangement.from_vertex_order([0, 1, 2])
@@ -232,14 +251,14 @@ class TestArrangementText:
     def test_batch_matches_one_at_a_time(self, case):
         labels, orders = case
         arrs = [Arrangement.from_vertex_order(order) for order in orders]
-        got = _emit_arrangements(arrs, labels)
+        got = _emit_positions([arr.positions for arr in arrs], labels)
         assert got == [emit_arrangement(arr, labels) for arr in arrs]
         # The text read off the vertex order, position by position.
         assert got == [",".join(labels[v] for v in order) for order in orders]
 
     def test_batch_of_none_is_empty(self):
-        assert _emit_arrangements([], ("a", "b")) == []
-        assert _emit_arrangements(iter(()), ()) == []
+        assert _emit_positions([], ("a", "b")) == []
+        assert _emit_positions(iter(()), ()) == []
 
     @pytest.mark.parametrize("labels", [("a", "b", "c", "d"), ("a", "b", "c", "d", "e", "f")])
     def test_batch_label_count_must_match(self, labels):
@@ -248,7 +267,7 @@ class TestArrangementText:
                 Arrangement.from_vertex_order([0, 4, 1, 3, 2])]
         with pytest.raises(ValidationError,
                            match=rf"^got {len(labels)} labels for a graph of order 5$"):
-            _emit_arrangements(arrs, labels)
+            _emit_positions([arr.positions for arr in arrs], labels)
 
     def test_unknown_label(self):
         doc = parse_graph(PENTAGON_TEXT)
