@@ -449,31 +449,42 @@ def _restricting_cells(g: Graph) -> list[int]:
     return [c for c in set(m & ~3 for m in _twin_masks(g.neighbor_masks)) if c.bit_count() > 1]
 
 
+def _assert_orbits_expand(g: Graph) -> None:
+    """Given the twin cells and no cost-to-go table, the engine yields one
+    twin-sorted arrangement per orbit of twin swaps and mirroring, the one
+    that precedes its mirror, and the orbits make up the full stream."""
+    n = g.order
+    mirror = (n + 1).__sub__
+    masks = _restricting_cells(g)
+    cells = [[v for v in range(n) if c >> v & 1] for c in masks]
+    expanded = []
+    for _, p in _crossing_free_search(g, masks):
+        assert all(p[u] < p[v] for c in cells for u, v in zip(c, c[1:]))
+        q = tuple(map(mirror, p))
+        assert p < q or n < 2
+        for side in {p, q}:
+            for perms in product(*(permutations([side[v] for v in c]) for c in cells)):
+                r = list(side)
+                for c, perm in zip(cells, perms):
+                    for v, x in zip(c, perm):
+                        r[v] = x
+                expanded.append(tuple(r))
+    assert len(expanded) == len(set(expanded))
+    assert set(expanded) == {a.positions for a in iter_crossing_free(g)}
+
+
 class TestReducedStream:
     def test_orbits_expand_to_the_full_stream(self):
-        # Given the twin cells and no cost-to-go table, the engine yields one
-        # twin-sorted arrangement per orbit of twin swaps and mirroring, the
-        # one that precedes its mirror; disconnected graphs included.
+        # Disconnected graphs included.
         for n in range(8):
-            mirror = (n + 1).__sub__
             for g in _all_graph_reps(n):
-                masks = _restricting_cells(g)
-                cells = [[v for v in range(n) if c >> v & 1] for c in masks]
-                expanded = []
-                for _, p in _crossing_free_search(g, masks):
-                    assert all(p[u] < p[v] for c in cells for u, v in zip(c, c[1:]))
-                    q = tuple(map(mirror, p))
-                    assert p < q or n < 2
-                    for side in {p, q}:
-                        for perms in product(*(permutations([side[v] for v in c])
-                                               for c in cells)):
-                            r = list(side)
-                            for c, perm in zip(cells, perms):
-                                for v, x in zip(c, perm):
-                                    r[v] = x
-                            expanded.append(tuple(r))
-                assert len(expanded) == len(set(expanded))
-                assert set(expanded) == {a.positions for a in iter_crossing_free(g)}
+                _assert_orbits_expand(g)
+
+    @pytest.mark.parametrize("name", ORDER8_RULE_GRAPHS)
+    def test_nesting_rule_keeps_every_orbit_at_order_eight(self, name):
+        # The walk with cells and no cost-to-go applies the nesting rule;
+        # these graphs push dead prefixes without it.
+        _assert_orbits_expand(make_graph(8, ORDER8_RULE_GRAPHS[name]))
 
 
 def _assert_matches(g: Graph, best: int, optima: set[tuple[int, ...]]) -> None:
@@ -665,6 +676,27 @@ class TestSolverInvariants:
                 assert cost(pentagon, reverse(a)) == result.optimal_cost
 
 
+def pendant_cycle(k: int, p: int) -> Graph:
+    """C_k with p pendants, one on each cycle vertex in turn from vertex 0,
+    as the benchmark's claims inputs build them."""
+    return make_graph(k + p, cycle_graph(k).edges | {(i % k, k + i) for i in range(p)})
+
+
+def _count_pulls(monkeypatch) -> list[list]:
+    """Wrap the engine so that each call appends [its arguments, the number
+    of leaves pulled from it] to the returned list."""
+    pulls = []
+
+    def counting(*args):
+        pulls.append(record := [args, 0])
+        for leaf in _crossing_free_search(*args):
+            record[1] += 1
+            yield leaf
+
+    monkeypatch.setattr("linarr.solvers._crossing_free_search", counting)
+    return pulls
+
+
 class TestClaims:
     CYCLE = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 
@@ -780,6 +812,58 @@ class TestClaims:
         assert not report.claim1.holds and not report.claim2.holds
         if n <= 9:
             assert report == reference_claims(g, cycle)
+
+    def test_hamiltonian_input_pulls_one_leaf(self, monkeypatch):
+        # Lemma (i) lists the 20 arrangements of C10 + {0, 5} from the first.
+        g = make_graph(10, cycle_graph(10).edges | {(0, 5)})
+        pulls = _count_pulls(monkeypatch)
+        report = check_dominating_edge_claims(g, cycle_graph(10).edges)
+        assert [count for _, count in pulls] == [1]
+        assert report.arrangement_count == 20
+        assert report == reference_claims(g, cycle_graph(10).edges)
+
+    def test_pendant_cycle_pulls_every_leaf(self, monkeypatch):
+        g = pendant_cycle(4, 5)
+        pulls = _count_pulls(monkeypatch)
+        check_dominating_edge_claims(g, cycle_graph(4).edges)
+        (args, count), = pulls
+        assert count == sum(1 for _ in _crossing_free_search(*args)) == 216
+
+    @pytest.mark.parametrize("n, edges", [
+        (4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),
+    ])
+    def test_matches_full_walk_under_every_labelling(self, n, edges):
+        # With the pendant as vertex 0, the first arrangement walked is a
+        # Hamiltonian path that lemma (i) does not apply to.
+        for perm in permutations(range(n)):
+            g = make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+            cycle = [(perm[u], perm[v]) for u, v in edges[:-1]]
+            assert check_dominating_edge_claims(g, cycle) == reference_claims(g, cycle)
+
+    def test_two_connected_classes_match_full_walk_at_order_eight(self):
+        # Each with its Hamiltonian cycle, the one simple cycle through
+        # every vertex; networkx picks the 2-connected classes.
+        nx = pytest.importorskip("networkx")
+        blocks = 0
+        for g in enumerate_connected_outerplanar_graphs(8):
+            if not nx.is_biconnected(nx.Graph(list(g.edges))):
+                continue
+            blocks += 1
+            cycle, = (c for c in simple_cycles(g) if len(c) == 8)
+            report = check_dominating_edge_claims(g, cycle)
+            assert report.arrangement_count == 16
+            assert report == reference_claims(g, cycle)
+        assert blocks == 75
+
+    @pytest.mark.parametrize("k, p, count", [(4, 5, 864), (5, 4, 288), (5, 5, 640),
+                                             (6, 4, 320)])
+    def test_pendant_cycles_match_full_walk(self, k, p, count):
+        g = pendant_cycle(k, p)
+        report = check_dominating_edge_claims(g, cycle_graph(k).edges)
+        assert report.arrangement_count == count
+        assert not report.claim1.holds and not report.claim2.holds
+        assert report == reference_claims(g, cycle_graph(k).edges)
 
     def test_no_crossing_free_arrangement_holds_vacuously(self):
         report = check_dominating_edge_claims(complete_graph(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
