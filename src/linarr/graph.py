@@ -8,26 +8,31 @@ outerplanarity recognition.
 Isomorphism rests on one search for the minimum adjacency key over vertex
 orderings, run on neighbour masks. Unrestricted, it gives the canonical
 key, whose bits spell the canonical form's adjacency row by row: the
-search returns the key alone, enumeration keys the masks of every
-extension it builds by it and stores each class as its key, and a key
-decodes into the canonical form (`_graph_from_key`). Restricted to
-orderings that follow a colour refinement of the graph, it gives a
-complete invariant that is much cheaper to compute on larger graphs, and
-`are_isomorphic` compares these invariants. The search is set-first: a
-minimum key starts with a maximum independent set of the lowest colour
-class, whose rows are zero in any order, so the search places each such
-set at once as one unordered cell and orders it lazily, splitting it by
-each later vertex's neighbours. It runs level by level and expands only
-the partial orderings whose rows so far are the least (`_min_key` gives
-the proofs). Enumeration adds one vertex to each smaller representative
-and, before keying, skips the extensions that twin cells, a minimum-degree
-argument or a comparison of neighbour degrees show to be covered by
-another extension. The same engine can keep only outerplanar graphs,
-extending outerplanar representatives alone by at most two edges, since
-every outerplanar graph has a vertex of degree at most 2; that stream
-feeds the gap search. Everything here is exact; enumeration of all graphs
-is intended for orders up to 8 (12,346 classes), of outerplanar ones up to
-9 (5,291 classes).
+search returns the key alone, and a key decodes into the canonical form's
+neighbour masks (`_key_masks`). Restricted to orderings that follow a
+colour refinement of the graph, it gives a complete invariant that is
+much cheaper to compute on larger graphs, and `are_isomorphic` compares
+these invariants. The search is set-first: a minimum key starts with a
+maximum independent set of the lowest colour class, whose rows are zero
+in any order, so the search places each such set at once as one
+unordered cell and orders it lazily, splitting it by each later vertex's
+neighbours. It runs level by level, expands only the partial orderings
+whose rows so far are the least, and applies a split to each later row
+in place, in the split cell's segment alone (`_min_key` gives the
+proofs).
+
+Enumeration adds one vertex to each smaller representative and, before
+keying, skips the extensions that twin cells, a minimum-degree argument
+or a comparison of neighbour degrees show to be covered by another
+extension. It keys each extension on its masks and keeps every order as
+its sorted keys (`_key_level`): a parent's masks are decoded from its
+key, and a `Graph` is built, unchecked (`Graph._trusted`), only for a
+connected class that the stream yields. The same engine can keep only
+outerplanar graphs, extending outerplanar representatives alone by at
+most two edges, since every outerplanar graph has a vertex of degree at
+most 2; that stream feeds the gap search. Everything here is exact;
+enumeration of all graphs is intended for orders up to 8 (12,346
+classes), of outerplanar ones up to 9 (5,291 classes).
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ValidationError
 
 Edge = tuple[int, int]
+
+# Bound once: `Graph._trusted` runs once per decoded representative.
+_new = object.__new__
+_set = object.__setattr__
 
 
 def normalize_edge(e: Iterable[int]) -> Edge:
@@ -117,6 +126,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={sorted(self.edges)})"
+
+    @classmethod
+    def _trusted(cls, masks: Sequence[int]) -> Graph:
+        """Build the graph whose neighbour masks are `masks`, already known
+        to be symmetric and loop-free, skipping the checks; the masks, and
+        the sorted edges read off them, are stored as cached. Keys decode
+        into graphs this way, in `_graph_from_key` and in the class stream."""
+        edges = tuple((u, v) for u, m in enumerate(masks)
+                      for v in range(u + 1, m.bit_length()) if m >> v & 1)
+        g = _new(cls)
+        _set(g, "order", len(masks))
+        _set(g, "edges", frozenset(edges))
+        _set(g, "sorted_edges", edges)
+        _set(g, "neighbor_masks", tuple(masks))
+        return g
 
 
 def make_graph(order: int, edges: Iterable[Iterable[int]] = ()) -> Graph:
@@ -233,18 +257,27 @@ def _min_key(adj: Sequence[int], colour: Sequence[int]) -> int:
     (b) I stays an ordered list of cells, ordered lazily. The rows of I are
         zero in every internal order, so only the rows of later vertices
         depend on it, and only through the cells. Against ordered cells, a
-        candidate u's least row puts its neighbours last in each cell: per
-        cell, zeros, then ones (`_cells_row`). Placing u splits each cell
-        into its non-neighbours, then its neighbours, and appends u as a
-        singleton. Proof that this is exact: every row placed so far is
-        constant on each cell, so all the orderings that agree with the
-        cells share the placed bits, and those are the least any ordering
-        of I gives them. The next row decides among these orderings first,
-        and its least value over them is reached exactly on the orderings
-        that agree with u's split. So every ordering that agrees with the
-        final cells reaches the same key, the minimum. Once every cell is a
-        single vertex, the order of I is fixed and the rows are plain
-        prefix bits.
+        candidate u's least row puts its neighbours last in each cell: cell
+        c gives a segment of |c| bits, zeros then ones, 2^m - 1 for
+        m = |N(u) & c|. Placing u splits each cell into its non-neighbours,
+        then its neighbours, and appends u as a singleton. Proof that this
+        is exact: every row placed so far is constant on each cell, so all
+        the orderings that agree with the cells share the placed bits, and
+        those are the least any ordering of I gives them. The next row
+        decides among these orderings first, and its least value over them
+        is reached exactly on the orderings that agree with u's split. So
+        every ordering that agrees with the final cells reaches the same
+        key, the minimum. Once every cell is a single vertex, the order of
+        I is fixed and the rows are plain prefix bits.
+        A split is applied to each later row in place. When the placed
+        vertex splits c into far = c - N(v), then near = c & N(v), the
+        segment of c changes and no other does: from 2^m - 1 to
+        (2^m0 - 1) << |near| | 2^m1 - 1, with m0 and m1 the row's vertex's
+        neighbours in far and in near. The difference,
+        (2^m0 - 1)(2^|near| - 2^m1), is added at the segment's offset, the
+        width of the later cells and of the vertices placed after I. It is
+        zero when the vertex has no neighbour in far, and one step may
+        split several cells, each at its own offset.
 
     The search is level-synchronous: it places one vertex per level in
     every node of a frontier at once, and every node of the frontier has
@@ -278,26 +311,30 @@ def _min_key(adj: Sequence[int], colour: Sequence[int]) -> int:
     if alpha == n:
         # An edgeless graph: every row is zero.
         return 0
-    # A node is (cells, unplaced, rows). cells: the ordered cells of I,
-    # emptied once each holds one vertex. rows[i]: unplaced[i]'s least row
-    # against the placed vertices, first-placed as the most significant bit.
-    # k counts a level's candidates, and low is their least row over the
-    # frontier; every row is below 1 << n.
+    # A node is (cells, unplaced, rows, least). cells: the ordered cells of
+    # I, emptied once each holds one vertex. rows[i]: unplaced[i]'s least
+    # row against the placed vertices, first-placed as the most significant
+    # bit. k counts a level's candidates, least is their least row in the
+    # node, and low the least over the frontier; every row is below 1 << n.
+    # Under the uniform colouring every unplaced vertex is a candidate.
     k = ends[alpha] - alpha
     low = 1 << n
     frontier = []
     for independent in sets:
         rest = [v for v in start if not independent >> v & 1]
         rows = [(1 << (adj[u] & independent).bit_count()) - 1 for u in rest]
-        frontier.append(([independent], rest, rows))
-        low = min(low, *rows[:k])
+        least = min(rows if k == len(rest) else rows[:k])
+        frontier.append(([independent], rest, rows, least))
+        low = min(low, least)
     key = 0
     for level in range(alpha, n - 1):
         key = (key << level) | low
         next_k = ends[level + 1] - level - 1
         next_low = 1 << n
         children = []
-        for cells, unplaced, rows in frontier:
+        for cells, unplaced, rows, least in frontier:
+            if least != low:
+                continue
             tried = 0
             for i in range(k):
                 v = unplaced[i]
@@ -310,30 +347,32 @@ def _min_key(adj: Sequence[int], colour: Sequence[int]) -> int:
                 del rest_rows[i]
                 child_cells = cells
                 if cells:
-                    split = [part for c in cells for part in (c & ~av, c & av) if part]
-                    if len(split) > len(cells):
-                        # v split a cell, so the rows against I change:
-                        # rebuild them in front of the rows against the
-                        # tail, the vertices placed after I, v included.
-                        tail = level + 1 - alpha
-                        after = (1 << tail) - 1
-                        rest_rows = [_cells_row(adj[u], split) << tail | b & after
-                                     for u, b in zip(rest, rest_rows)]
+                    # Update the rows in place per split cell, by (b); the
+                    # level + 1 - alpha vertices placed after I, v
+                    # included, lie below every cell's segment.
+                    split = []
+                    offset = level + 1
+                    for c in cells:
+                        offset -= c.bit_count()
+                        near = c & av
+                        if not near or near == c:
+                            split.append(c)
+                            continue
+                        far = c ^ near
+                        split += (far, near)
+                        top = 1 << near.bit_count()
+                        for j, u in enumerate(rest):
+                            m0 = (adj[u] & far).bit_count()
+                            if m0:
+                                rest_rows[j] += ((1 << m0) - 1) * (
+                                    top - (1 << (adj[u] & near).bit_count())) << offset
                     # Once every cell is one vertex, the order of I is fixed.
                     child_cells = split if len(split) < alpha else []
-                children.append((child_cells, rest, rest_rows))
-                next_low = min(next_low, *rest_rows[:next_k])
+                least = min(rest_rows if next_k == len(rest) else rest_rows[:next_k])
+                children.append((child_cells, rest, rest_rows, least))
+                next_low = min(next_low, least)
         frontier, k, low = children, next_k, next_low
     return (key << (n - 1)) | low
-
-
-def _cells_row(mask: int, cells: Sequence[int]) -> int:
-    """The least row of a vertex with neighbour mask `mask` against ordered
-    cells: per cell, its non-neighbours' zeros, then its neighbours' ones."""
-    row = 0
-    for c in cells:
-        row = (row << c.bit_count()) | ((1 << (mask & c).bit_count()) - 1)
-    return row
 
 
 def _maximum_independent_sets(adj: Sequence[int], free: int,
@@ -377,14 +416,26 @@ def _canonical_key(g: Graph) -> int:
     return _min_key(g.neighbor_masks, [0] * g.order)
 
 
+def _key_masks(order: int, key: int) -> list[int]:
+    """Decode a key of `_min_key` into the neighbour masks of the graph on
+    the ordering it was read under. Read from the most significant end, bit
+    i(i-1)/2 + j is the edge (j, i), for j < i, so row i is the key's i
+    bits above the rows of the later vertices, vertex 0 first."""
+    masks = [0] * order
+    for i in range(order - 1, 0, -1):
+        row = key & ((1 << i) - 1)
+        key >>= i
+        while row:
+            j = i - (row & -row).bit_length()
+            row &= row - 1
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
+
+
 def _graph_from_key(order: int, key: int) -> Graph:
-    """Decode a key of `_min_key`: the graph on the ordering it was read
-    under. Read from the most significant end, bit i(i-1)/2 + j is the
-    edge (j, i), for j < i."""
-    top = order * (order - 1) // 2 - 1
-    return Graph(order, frozenset(
-        (j, i) for i in range(1, order) for j in range(i)
-        if key >> (top - i * (i - 1) // 2 - j) & 1))
+    """The graph a key of `_min_key` spells (`_key_masks`)."""
+    return Graph._trusted(_key_masks(order, key))
 
 
 def _refined_colours(g: Graph) -> list[int]:
@@ -427,10 +478,19 @@ def canonical_form(g: Graph) -> Graph:
     return _graph_from_key(g.order, _canonical_key(g))
 
 
-@lru_cache(maxsize=None)
 def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class of all simple
-    graphs, or, with `outerplanar`, of the outerplanar ones only.
+    graphs, or, with `outerplanar`, of the outerplanar ones only: the key
+    level (`_key_level`) decoded, in its order."""
+    return tuple(_graph_from_key(order, key) for key in _key_level(order, outerplanar))
+
+
+@lru_cache(maxsize=None)
+def _key_level(order: int, outerplanar: bool) -> tuple[int, ...]:
+    """The canonical keys (`_min_key`) of the isomorphism classes of all
+    simple graphs of this order, or, with `outerplanar`, of the outerplanar
+    ones only: one key per class, each spelling the class's canonical
+    representative (`_key_masks`).
 
     Every graph G of this order is P+S for a smaller representative P: P
     plus a new vertex joined to the set S of P's vertices. Exact rules
@@ -473,26 +533,24 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
         the outerplanarity elimination (`_outerplanar_masks`).
 
     Every surviving extension is keyed by its canonical bits, a complete
-    invariant, read off its neighbour masks (`_min_key`): P's masks with
-    the new vertex's bit added on S, and S appended. No `Graph` is built
-    for an extension. Classes are stored as these keys alone and decoded
-    (`_graph_from_key`) once all are known, sorted by edge count, the
-    key's popcount, then key. A representative depends only on its
-    canonical bits, so the rules change the work, not the output: the
-    outerplanar representatives are exactly the outerplanar members of the
-    full list, in the same order.
+    invariant, read off its neighbour masks (`_min_key`): P's masks,
+    decoded from P's key (`_key_masks`), with the new vertex's bit added on
+    S, and S appended. No `Graph` is built for a parent or an extension: a
+    level is kept as its keys alone, sorted by edge count, the key's
+    popcount, then key, and only the stream decodes the connected classes
+    it yields into graphs (`_connected_reps`). A representative depends
+    only on its canonical bits, so the rules change the work, not the
+    output: the outerplanar representatives are exactly the outerplanar
+    members of the full list, in the same order.
     """
     if order == 0:
-        return (Graph(0),)
-    # lru_cache keys (n,) and (n, False) apart: call as the callers do, so
-    # the levels they cache are reused.
-    parents = _all_graph_reps(order - 1, True) if outerplanar else _all_graph_reps(order - 1)
+        return (0,)
     keys: set[int] = set()
     new = order - 1
     bit = 1 << new
     uniform = [0] * order
-    for parent in parents:
-        adj = parent.neighbor_masks
+    for parent in _key_level(new, outerplanar):
+        adj = _key_masks(new, parent)
         degree = [m.bit_count() for m in adj]
         # Rule (ii) bounds |S| by the least degree plus one, rule (iii) by 2.
         cap = min(degree, default=0) + 1
@@ -515,8 +573,7 @@ def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
             if outerplanar and size == 2 and not _outerplanar_masks(masks):
                 continue
             keys.add(_min_key(masks, uniform))
-    return tuple(_graph_from_key(order, key)
-                 for key in sorted(keys, key=lambda key: (key.bit_count(), key)))
+    return tuple(sorted(keys, key=lambda key: (key.bit_count(), key)))
 
 
 def _lowest_subsets(cells: Sequence[Sequence[int]], cap: int) -> list[int]:
@@ -572,8 +629,9 @@ def enumerate_connected_outerplanar_graphs(order: int) -> Iterator[Graph]:
 
 
 def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
-    """Check the order at once; the representatives are built when the
-    returned stream is first advanced."""
+    """Check the order at once; the key level is built when the returned
+    stream is first advanced. Each key is decoded into masks, connectivity
+    is tested on them, and only the connected classes become graphs."""
     try:
         order = index(order)
     except TypeError:
@@ -582,8 +640,11 @@ def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
         raise ValidationError(f"enumeration needs order >= 1, got {order}")
 
     def stream() -> Iterator[Graph]:
-        reps = _all_graph_reps(order, True) if outerplanar else _all_graph_reps(order)
-        yield from filter(is_connected, reps)
+        everyone = (1 << order) - 1
+        for key in _key_level(order, outerplanar):
+            masks = _key_masks(order, key)
+            if len(_components(masks, everyone)) == 1:
+                yield Graph._trusted(masks)
 
     return stream()
 

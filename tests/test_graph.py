@@ -34,6 +34,8 @@ from linarr.graph import (
     _canonical_key,
     _graph_from_key,
     _iso_key,
+    _key_level,
+    _key_masks,
     _maximum_independent_sets,
     _min_key,
     _outerplanar_masks,
@@ -111,6 +113,24 @@ def min_key_cases():
     pairs = list(combinations(range(7), 2))
     graphs += [make_graph(7, [e for e in pairs if rng.random() < 0.5]) for _ in range(30)]
     return graphs
+
+
+def most_cells_split(g, colour, key):
+    """The most cells of I that one placed vertex splits, on the minimising
+    ordering that `key`, g's `_min_key` under `colour`, spells. Every
+    ordering that reaches the key splits the cells alike, so the search
+    made such a split on its way to the key."""
+    adj = g.neighbor_masks
+    first = sum(1 << v for v in range(g.order) if colour[v] == min(colour))
+    alpha = _maximum_independent_sets(adj, first, _twin_masks(adj))[0].bit_count()
+    spelt = _key_masks(g.order, key)
+    cells = [(1 << alpha) - 1]
+    most = 0
+    for placed in spelt[alpha:]:
+        split = [part for c in cells for part in (c & ~placed, c & placed) if part]
+        most = max(most, len(split) - len(cells))
+        cells = split
+    return most
 
 
 class TestMakeGraph:
@@ -273,8 +293,8 @@ class TestIsomorphism:
     def test_iso_key_is_a_complete_invariant_on_every_class(self):
         # Enumeration keys by canonical bits alone, so only this test and
         # `are_isomorphic` exercise `_iso_key`: it must tell apart every two
-        # classes of order <= 8 (the order-8 list is cached, and other tests
-        # in this module reuse it) and survive a relabelling of every
+        # classes of order <= 8 (the order-8 key level is cached, and other
+        # tests in this module reuse it) and survive a relabelling of every
         # order-7 class.
         for n in range(9):
             reps = _all_graph_reps(n)
@@ -353,17 +373,17 @@ class TestEnumeration:
             keyed[len(adj)] += 1
             return min_key(adj, colour)
 
-        # Each level is rebuilt uncached from the cached level below it, so
-        # the order-8 enumeration other tests share stays in the cache.
-        _all_graph_reps(6)
+        # Each key level is rebuilt uncached from the cached level below it,
+        # so the order-8 level other tests share stays in the cache.
+        _key_level(6, False)
         monkeypatch.setattr(linarr.graph, "_min_key", counting)
         for n in range(1, 8):
-            _all_graph_reps.__wrapped__(n)
+            _key_level.__wrapped__(n, False)
         assert keyed[1:] == [1, 2, 4, 11, 39, 192, 1428]
 
     def test_outerplanar_stream_filters_the_full_enumeration(self):
         # Same representatives in the same order, element for element. The
-        # order-8 enumeration is cached by other tests in this module.
+        # order-8 key level is cached by other tests in this module.
         for n in range(1, 9):
             expected = [g for g in enumerate_connected_graphs(n) if is_outerplanar(g)]
             assert list(enumerate_connected_outerplanar_graphs(n)) == expected, n
@@ -385,35 +405,45 @@ class TestEnumeration:
             keyed[len(adj)] += 1
             return min_key(adj, colour)
 
-        _all_graph_reps(7, True)
+        _key_level(7, True)
         monkeypatch.setattr(linarr.graph, "_min_key", counting)
         for n in range(1, 9):
-            _all_graph_reps.__wrapped__(n, True)
+            _key_level.__wrapped__(n, True)
         assert keyed[1:] == [1, 2, 4, 10, 29, 103, 371, 1413]
 
     def test_outerplanar_stream_builds_a_graph_per_representative(self, monkeypatch):
-        # Extensions are tested and keyed on neighbour masks: the only
-        # graphs built are the 277 decoded representatives of order 7, and
-        # the 146 extensions with |S| = 2 each run the elimination once.
-        built = []
+        # Levels are kept as keys, and extensions are tested and keyed on
+        # neighbour masks. With the lower levels cached, the order-7 level
+        # is built afresh: its 146 extensions with |S| = 2 each run the
+        # elimination once, and the only graphs built are the 172 connected
+        # classes the stream yields, each decoded without validation.
+        decoded = []
+        validated = []
         eliminations = []
-        graph = linarr.graph.Graph
+        Graph = linarr.graph.Graph
+        trusted = Graph._trusted.__func__
+        post_init = Graph.__post_init__
+        key_level = _key_level
         outerplanar = linarr.graph._outerplanar_masks
-
-        def counting_graph(*args):
-            built.append(args[0])
-            return graph(*args)
 
         def counting_outerplanar(adj):
             eliminations.append(len(adj))
             return outerplanar(adj)
 
-        _all_graph_reps(6, True)
-        monkeypatch.setattr(linarr.graph, "Graph", counting_graph)
+        key_level(6, True)
+        monkeypatch.setattr(linarr.graph, "_key_level", lambda n, op: (
+            key_level.__wrapped__(n, op) if n == 7 else key_level(n, op)))
+        monkeypatch.setattr(Graph, "_trusted", classmethod(
+            lambda cls, masks: decoded.append(len(masks)) or trusted(cls, masks)))
+        monkeypatch.setattr(Graph, "__post_init__",
+                            lambda g: validated.append(g) or post_init(g))
         monkeypatch.setattr(linarr.graph, "_outerplanar_masks", counting_outerplanar)
-        reps = _all_graph_reps.__wrapped__(7, True)
-        assert len(reps) == 277
-        assert built == [7] * 277
+        stream = enumerate_connected_outerplanar_graphs(7)
+        assert decoded == eliminations == []
+        graphs = list(stream)
+        assert len(graphs) == 172
+        assert decoded == [7] * 172
+        assert validated == []
         assert eliminations == [7] * 146
 
     def test_outerplanar_stream_holds_random_outerplanar_graphs(self):
@@ -486,12 +516,16 @@ class TestEnumeration:
             enumerate_(order)
 
     def test_representatives_are_built_when_advanced(self, monkeypatch):
+        # The stream asks for its key level only when first advanced, and
+        # yields the connected classes of that level, in its order.
+        expected = [g for g in _all_graph_reps(4, True) if is_connected(g)]
         built = []
-        monkeypatch.setattr(linarr.graph, "_all_graph_reps",
-                            lambda *args: built.append(args) or (make_graph(1, []),))
+        key_level = _key_level
+        monkeypatch.setattr(linarr.graph, "_key_level",
+                            lambda *args: built.append(args) or key_level(*args))
         stream = enumerate_connected_outerplanar_graphs(4)
         assert built == []
-        assert list(stream) == [make_graph(1, [])]
+        assert list(stream) == expected
         assert built == [(4, True)]
 
 
@@ -509,6 +543,39 @@ class TestMinKey:
             # The key decodes to g relabelled onto a minimising ordering.
             assert oracle_key(_graph_from_key(g.order, bits), range(g.order)) == bits, g
 
+    def test_multi_cell_splits_match_brute_force(self):
+        # When one placed vertex splits two or more cells of I, the row of
+        # each later vertex changes in two or more segments. Uniform colours:
+        # seeded random graphs of orders 7 and 8. Refined colours: an 8-cycle
+        # alternating between four independent vertices of degree 2 and four
+        # of degree 3 matched in pairs, seeded and relabelled; refinement
+        # keeps the two degree classes, and the second vertex placed after I
+        # splits both cells the first one made.
+        rng = random.Random(37)
+        cases = []
+        for order, count in [(7, 60), (8, 30)]:
+            pairs = list(combinations(range(order), 2))
+            for _ in range(count):
+                p = rng.uniform(0.2, 0.5)
+                g = make_graph(order, [e for e in pairs if rng.random() < p])
+                cases.append((g, [0] * order))
+        for _ in range(12):
+            ring = rng.sample(range(4), 4)
+            x = rng.sample(range(4, 8), 4)
+            cycle = [v for pair in zip(ring, x) for v in pair]
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            edges += [(x[0], x[2]), (x[1], x[3])] if rng.random() < 0.5 else \
+                [(x[0], x[1]), (x[2], x[3])]
+            g = relabeled(make_graph(8, edges), rng)
+            cases.append((g, _refined_colours(g)))
+        seen = {False: 0, True: 0}
+        for g, colour in cases:
+            key = _min_key(g.neighbor_masks, colour)
+            if most_cells_split(g, colour, key) >= 2:
+                assert key == oracle_min_key(g, colour), (g, colour)
+                seen[len(set(colour)) > 1] += 1
+        assert seen[False] >= 10 and seen[True] >= 10, seen
+
     @pytest.mark.parametrize("g, key", [
         (cycle_graph(12), 0x628a14140600),
         (petersen_graph(), 0x1a98934990),
@@ -525,6 +592,22 @@ class TestMinKey:
         assert _canonical_key(g) == key
         assert _canonical_key(relabeled(g, rng)) == key
         assert _iso_key(relabeled(g, rng)) == ((0,) * g.order, key)
+
+    def test_trusted_decoder_matches_the_validating_constructor(self):
+        # Every class of both streams to order 8. The edges are read off the
+        # key bit by bit, independently of `_key_masks`: bit i(i-1)/2 + j
+        # from the most significant end is the edge (j, i).
+        for outerplanar in (False, True):
+            for n in range(9):
+                top = n * (n - 1) // 2 - 1
+                for key in _key_level(n, outerplanar):
+                    g = _graph_from_key(n, key)
+                    h = linarr.graph.Graph(n, [
+                        (j, i) for i in range(1, n) for j in range(i)
+                        if key >> (top - i * (i - 1) // 2 - j) & 1])
+                    assert g == h and repr(g) == repr(h) and hash(g) == hash(h), h
+                    assert vars(g)["neighbor_masks"] == h.neighbor_masks, h
+                    assert vars(g)["sorted_edges"] == h.sorted_edges, h
 
     def test_maximum_independent_sets_up_to_twins(self):
         # The returned sets are maximum independent sets that meet each twin
