@@ -21,18 +21,23 @@ whose rows so far are the least, and applies a split to each later row
 in place, in the split cell's segment alone (`_min_key` gives the
 proofs).
 
-Enumeration adds one vertex to each smaller representative and, before
-keying, skips the extensions that twin cells, a minimum-degree argument
-or a comparison of neighbour degrees show to be covered by another
-extension. It keys each extension on its masks and keeps every order as
-its sorted keys (`_key_level`): a parent's masks are decoded from its
-key, and a `Graph` is built, unchecked (`Graph._trusted`), only for a
-connected class that the stream yields. The same engine can keep only
+Enumeration builds the connected classes alone: it joins a new vertex to
+a nonempty set of each smaller connected representative, so every
+extension is connected, and reaches every connected class because the
+vertex it undoes is a least-degree vertex that is not a cut vertex.
+Before keying, it skips the extensions that twin cells, that degree
+argument or a comparison of neighbour degrees show to be covered by
+another extension. It keys each extension on its masks and keeps every
+order as its sorted keys (`_key_level`): a parent's masks are decoded
+from its key, and a `Graph` is built, unchecked (`Graph._trusted`), only
+for a class that the stream yields. The same engine can keep only
 outerplanar graphs, extending outerplanar representatives alone by at
-most two edges, since every outerplanar graph has a vertex of degree at
-most 2; that stream feeds the gap search. Everything here is exact;
-enumeration of all graphs is intended for orders up to 8 (12,346
-classes), of outerplanar ones up to 9 (5,291 classes).
+most two edges, since every connected outerplanar graph has a non-cut
+vertex of degree at most 2; that stream feeds the gap search. The
+disconnected classes, which only tests and checks ask for
+(`_all_graph_reps`), are composed from the connected ones. Everything
+here is exact; enumeration of all graphs is intended for orders up to 8
+(12,346 classes), of outerplanar ones up to 9 (5,291 classes).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement, product
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -132,7 +138,7 @@ class Graph:
         """Build the graph whose neighbour masks are `masks`, already known
         to be symmetric and loop-free, skipping the checks; the masks, and
         the sorted edges read off them, are stored as cached. Keys decode
-        into graphs this way, in `_graph_from_key` and in the class stream."""
+        into graphs this way (`_graph_from_key`)."""
         edges = tuple((u, v) for u, m in enumerate(masks)
                       for v in range(u + 1, m.bit_length()) if m >> v & 1)
         g = _new(cls)
@@ -480,55 +486,109 @@ def canonical_form(g: Graph) -> Graph:
 
 def _all_graph_reps(order: int, outerplanar: bool = False) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class of all simple
-    graphs, or, with `outerplanar`, of the outerplanar ones only: the key
-    level (`_key_level`) decoded, in its order."""
-    return tuple(_graph_from_key(order, key) for key in _key_level(order, outerplanar))
+    graphs, or, with `outerplanar`, of the outerplanar ones only, sorted by
+    edge count, the key's popcount, then canonical key.
+
+    The connected classes are the key level (`_key_level`). Every other
+    class is the disjoint union of a multiset of two or more connected
+    classes whose orders sum to `order`, one multiset per class; a union of
+    outerplanar graphs is outerplanar, and so is each component of one. Each
+    union is keyed here (`_min_key`), not cached: only tests and checks
+    call this.
+    """
+    keys = list(_key_level(order, outerplanar))
+    uniform = [0] * order
+    for parts in _partitions(order, order - 1) if order > 1 else ():
+        sizes = sorted(set(parts), reverse=True)
+        for picked in product(*[combinations_with_replacement(
+                _key_level(size, outerplanar), parts.count(size)) for size in sizes]):
+            masks: list[int] = []
+            for size, part_keys in zip(sizes, picked):
+                for key in part_keys:
+                    offset = len(masks)
+                    masks += [m << offset for m in _key_masks(size, key)]
+            keys.append(_min_key(masks, uniform))
+    keys.sort(key=lambda key: (key.bit_count(), key))
+    return tuple(_graph_from_key(order, key) for key in keys)
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most `largest`, each as a
+    non-increasing tuple."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
 
 
 @lru_cache(maxsize=None)
 def _key_level(order: int, outerplanar: bool) -> tuple[int, ...]:
-    """The canonical keys (`_min_key`) of the isomorphism classes of all
-    simple graphs of this order, or, with `outerplanar`, of the outerplanar
-    ones only: one key per class, each spelling the class's canonical
-    representative (`_key_masks`).
+    """The canonical keys (`_min_key`) of the isomorphism classes of
+    connected simple graphs of this order, or, with `outerplanar`, of the
+    connected outerplanar ones only: one key per class, each spelling the
+    class's canonical representative (`_key_masks`).
 
-    Every graph G of this order is P+S for a smaller representative P: P
-    plus a new vertex joined to the set S of P's vertices. Exact rules
-    skip, before keying, extensions that another extension already covers.
-    They read only P's neighbour masks and S, before P+S is built:
+    Every connected graph G of order n >= 2 is P+S for a connected
+    representative P of order n - 1: P plus a new vertex joined to a
+    nonempty set S of P's vertices. Take for the new vertex a vertex u of G
+    that is not a cut vertex; G has one, a leaf of a spanning tree, and
+    G - u is connected. Every P+S with S nonempty is connected, so no
+    disconnected graph is ever keyed. Exact rules skip, before keying,
+    extensions that another extension already covers. They read only P's
+    neighbour masks and S, before P+S is built.
+
+    Cut vertices are read off P (`_cut_pieces`): for each vertex x, the
+    components, or pieces, of P - x. In P+S the new vertex is never a cut
+    vertex, and an old vertex x is one exactly when S - {x} misses a piece
+    of P - x: P+S - x is P - x plus the new vertex joined to S - {x}, which
+    is connected iff that set meets every piece, or P - x is empty. So
+    S = {x} makes x a cut vertex of P+S once P has two vertices or more.
 
     (i) Twin cells: S meets each twin cell of P (`_twin_cells`) in the
         lowest-index vertices of that cell. Proof: a permutation σ inside
         a cell is an automorphism of P, so P+S ≅ P+σ(S) and only
         |S ∩ cell| matters.
-    (ii) Minimum degree: no old vertex ends with degree < |S|. Proof:
-        deleting a minimum-degree vertex u of G leaves a graph ≅ some P,
-        so G ≅ P+S with |S| = deg(u) <= every other degree; ties are
-        kept. The σ of rule (i) only permutes these degrees, so the two
-        rules compose.
-    (iv) Neighbour degrees, the cheap-invariant step of canonical
+    (ii') Least non-cut degree: no old vertex that is not a cut vertex of
+        P+S ends with degree < |S|. Proof: deleting a least-degree non-cut
+        vertex u of G leaves a connected graph ≅ some P, so G ≅ P+S with
+        |S| = deg(u) <= the degree of every other non-cut vertex; ties are
+        kept. The σ of rule (i) extends to an isomorphism P+S ≅ P+σ(S)
+        that fixes the new vertex, and it keeps every degree and whether a
+        vertex cuts, so the two rules compose. A non-cut vertex v of P
+        stays one in P+S unless S = {v}, so |S| <= 1 + the least degree of
+        a non-cut vertex of P.
+    (iv') Neighbour degrees, the cheap-invariant step of canonical
         augmentation (McKay, J. Algorithms 26, 1998): let inv(u) be the
-        sorted degrees, in G = P+S, of u's neighbours. No old vertex of
-        degree |S| in G has a larger inv than the new vertex. Proof:
-        choose a minimum-degree vertex u* of G whose inv is largest. Then
-        G - u* ≅ some P, and G ≅ P+S by an isomorphism that maps u* to the
-        new vertex; rule (i)'s σ extends to an isomorphism P+S ≅ P+σ(S)
-        that fixes the new vertex. Both keep degrees and inv, so the new
-        vertex of P+σ(S) has the least degree and, among the vertices of
-        that degree, the largest inv: it passes rules (ii) and (iv). The
-        invs are compared only when an old vertex ties the new one's degree.
+        sorted degrees, in G = P+S, of u's neighbours. No old non-cut
+        vertex of degree |S| in G has a larger inv than the new vertex.
+        Proof: choose u* among the least-degree non-cut vertices of G with
+        the largest inv. Then G - u* is connected and ≅ some P, and G ≅ P+S
+        by an isomorphism that maps u* to the new vertex; rule (i)'s σ
+        extends to P+S ≅ P+σ(S) fixing the new vertex. Both keep degree,
+        inv and cut status, so the new vertex of P+σ(S) has the least
+        degree of the non-cut vertices and, among the non-cut vertices of
+        that degree, the largest inv: it passes rules (ii') and (iv'). The
+        invs are compared only when an old non-cut vertex ties the new
+        one's degree.
 
     With `outerplanar`, only outerplanar representatives are extended, and
     an extension is dropped before keying unless it is outerplanar. This
-    reaches every outerplanar G: deleting a vertex keeps a graph
-    outerplanar, so the P ≅ G - u of rules (ii) and (iv) is itself an
-    outerplanar representative, and rule (i)'s P+σ(S) ≅ P+S is outerplanar
-    iff P+S is. One more rule holds there:
+    reaches every connected outerplanar G: deleting a vertex keeps a graph
+    outerplanar, so the P ≅ G - u* of rules (ii') and (iv') is itself a
+    connected outerplanar representative, and rule (i)'s P+σ(S) ≅ P+S is
+    outerplanar iff P+S is. One more rule holds there:
 
-    (iii) Degree 2: |S| <= 2. Proof: every outerplanar graph has a vertex
-        of degree at most 2, and rule (ii) leaves the new vertex with the
-        least degree of P+S, so an outerplanar P+S has |S| <= 2. With
-        |S| <= 1, P+S adds an isolated or a pendant vertex to the
+    (iii) Degree 2: |S| <= 2. Proof: a connected outerplanar G with two
+        vertices or more has a non-cut vertex of degree at most 2. A leaf
+        block B of G, or G itself if it has no cut vertex, holds at most
+        one cut vertex of G. If B is an edge, its other end has degree 1.
+        Otherwise B is 2-connected and outerplanar, a Hamiltonian cycle
+        with non-crossing chords, and has two vertices of degree 2 in B;
+        one of them is not the cut vertex, so it lies in B alone and has
+        degree 2 in G. Rule (ii') leaves the new vertex with the least
+        degree of the non-cut vertices of P+S, so an outerplanar P+S has
+        |S| <= 2. With |S| = 1, P+S adds a pendant vertex to the
         outerplanar P and is outerplanar without a test; only |S| = 2 runs
         the outerplanarity elimination (`_outerplanar_masks`).
 
@@ -537,13 +597,13 @@ def _key_level(order: int, outerplanar: bool) -> tuple[int, ...]:
     decoded from P's key (`_key_masks`), with the new vertex's bit added on
     S, and S appended. No `Graph` is built for a parent or an extension: a
     level is kept as its keys alone, sorted by edge count, the key's
-    popcount, then key, and only the stream decodes the connected classes
-    it yields into graphs (`_connected_reps`). A representative depends
-    only on its canonical bits, so the rules change the work, not the
-    output: the outerplanar representatives are exactly the outerplanar
-    members of the full list, in the same order.
+    popcount, then key, and only the stream decodes the classes it yields
+    into graphs (`_connected_reps`). A representative depends only on its
+    canonical bits, so the rules change the work, not the output: the
+    outerplanar representatives are exactly the outerplanar members of the
+    full list, in the same order.
     """
-    if order == 0:
+    if order <= 1:
         return (0,)
     keys: set[int] = set()
     new = order - 1
@@ -552,20 +612,33 @@ def _key_level(order: int, outerplanar: bool) -> tuple[int, ...]:
     for parent in _key_level(new, outerplanar):
         adj = _key_masks(new, parent)
         degree = [m.bit_count() for m in adj]
-        # Rule (ii) bounds |S| by the least degree plus one, rule (iii) by 2.
-        cap = min(degree, default=0) + 1
+        pieces = _cut_pieces(adj)
+        cut = sum(1 << x for x, parts in enumerate(pieces) if len(parts) > 1)
+        # Rule (ii') bounds |S| by the least non-cut degree plus one, rule
+        # (iii) by 2.
+        cap = min(d for x, d in enumerate(degree) if not cut >> x & 1) + 1
         if outerplanar:
             cap = min(cap, 2)
-        # below[k]: the old vertices of degree < k. Up to the cap, below[k]
-        # holds degree k - 1 alone, so rule (ii) asks S to contain it.
+        # below[k]: the old vertices of degree < k.
         below = [sum(1 << v for v, d in enumerate(degree) if d < k) for k in range(cap + 2)]
         for nbrs in _lowest_subsets(_twin_cells(adj), cap):
             size = nbrs.bit_count()
-            if below[size] & ~nbrs:
+            # The old vertices that end with degree < |S| must all be cut
+            # vertices of P+S. A non-cut vertex of P among them has degree
+            # |S| - 1 and lies outside S, so it stays non-cut.
+            low = below[size - 1] | below[size] & ~nbrs
+            if low and (low & ~cut or not all(
+                    any(not part & nbrs for part in pieces[x]) for x in _bits_of(low))):
                 continue
             # The old vertices that end with the new vertex's degree: those
-            # of degree |S| - 1, all in S now, and those of degree |S| not.
-            ties = below[size] | below[size + 1] & ~nbrs
+            # of degree |S| - 1 in S and those of degree |S| not; rule (iv')
+            # compares the ones that are not cut vertices of P+S. S = {x}
+            # would need deg(x) = 0 in a connected P of two vertices or
+            # more, so only P's cut vertices can be cut vertices of P+S.
+            ties = (below[size + 1] & ~nbrs | below[size] & nbrs) & ~low
+            for x in _bits_of(ties & cut):
+                if not all(part & nbrs for part in pieces[x]):
+                    ties ^= 1 << x
             if ties and not _accepts(adj, degree, nbrs, ties):
                 continue
             masks = [m | bit if nbrs >> v & 1 else m for v, m in enumerate(adj)]
@@ -576,23 +649,32 @@ def _key_level(order: int, outerplanar: bool) -> tuple[int, ...]:
     return tuple(sorted(keys, key=lambda key: (key.bit_count(), key)))
 
 
+def _cut_pieces(adj: Sequence[int]) -> list[list[int]]:
+    """For each vertex x of the graph with neighbour masks `adj`, the
+    components of the graph without x (`_components`), as masks. In a
+    connected graph, x is a cut vertex iff it has two pieces or more."""
+    everyone = (1 << len(adj)) - 1
+    return [_components(adj, everyone ^ 1 << x) for x in range(len(adj))]
+
+
 def _lowest_subsets(cells: Sequence[Sequence[int]], cap: int) -> list[int]:
-    """The vertex masks of at most `cap` vertices that meet each cell in its
-    lowest vertices."""
+    """The nonempty vertex masks of at most `cap` vertices that meet each
+    cell in its lowest vertices."""
     found = [0]
     for cell in cells:
         prefixes = [0]
         for v in cell[:cap]:
             prefixes.append(prefixes[-1] | 1 << v)
         found = [s | p for s in found for p in prefixes[:cap - s.bit_count() + 1]]
-    return found
+    # Every cell's empty prefix comes first, so the empty set is found[0].
+    return found[1:]
 
 
 def _accepts(adj: Sequence[int], degree: Sequence[int], nbrs: int, ties: int) -> bool:
-    """Rule (iv): no old vertex in `ties`, those that end with the new
-    vertex's degree, has a larger neighbour-degree list than the new vertex
-    of P+S, where P has neighbour masks `adj` and degrees `degree`, and S is
-    the mask `nbrs`."""
+    """Rule (iv'): no old vertex in `ties`, the non-cut vertices that end
+    with the new vertex's degree, has a larger neighbour-degree list than
+    the new vertex of P+S, where P has neighbour masks `adj` and degrees
+    `degree`, and S is the mask `nbrs`."""
     grown = [d + (nbrs >> v & 1) for v, d in enumerate(degree)]
     size = nbrs.bit_count()
     mine = sorted(grown[v] for v in _bits_of(nbrs))
@@ -630,8 +712,8 @@ def enumerate_connected_outerplanar_graphs(order: int) -> Iterator[Graph]:
 
 def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
     """Check the order at once; the key level is built when the returned
-    stream is first advanced. Each key is decoded into masks, connectivity
-    is tested on them, and only the connected classes become graphs."""
+    stream is first advanced, and each of its keys is decoded into a
+    graph."""
     try:
         order = index(order)
     except TypeError:
@@ -640,11 +722,8 @@ def _connected_reps(order: int, outerplanar: bool) -> Iterator[Graph]:
         raise ValidationError(f"enumeration needs order >= 1, got {order}")
 
     def stream() -> Iterator[Graph]:
-        everyone = (1 << order) - 1
         for key in _key_level(order, outerplanar):
-            masks = _key_masks(order, key)
-            if len(_components(masks, everyone)) == 1:
-                yield Graph._trusted(masks)
+            yield _graph_from_key(order, key)
 
     return stream()
 

@@ -60,9 +60,9 @@ SOLVER_PLANAR = "planar-prefix"
 # worst case. Times are for one Xeon core under CPython 3.11. The
 # crossing-free solver uses MAX_ORDER_DP, since it builds the same 2**n
 # tables. The gap search builds and solves only the connected outerplanar
-# classes (OEIS A111563): 3,783 at order 9, built in about 1.6 s, with the
-# whole search taking about 5.3 s; order 10 has 20,074, built in about
-# 10.5 s, whose gaps take about 22 s more (CPU time on a shared 2-CPU host
+# classes (OEIS A111563): 3,783 at order 9, built in about 0.8 s, with the
+# whole search taking about 2.7 s; order 10 has 20,074, built in about
+# 5 s, whose gaps take about 14 s more (CPU time on a shared 2-CPU host
 # under CPython 3.11.7). The claim checker examines one
 # crossing-free arrangement per orbit of mirroring and twin swaps, so its
 # time follows the number of orbits. A triangle with pendants on one

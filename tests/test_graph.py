@@ -32,6 +32,8 @@ import linarr.graph
 from linarr.graph import (
     _all_graph_reps,
     _canonical_key,
+    _components,
+    _cut_pieces,
     _graph_from_key,
     _iso_key,
     _key_level,
@@ -362,24 +364,42 @@ class TestEnumeration:
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
     def test_extensions_keyed_per_order(self, monkeypatch):
-        # The twin-cell, minimum-degree and neighbour-degree rules leave
-        # these one-vertex extensions to key (1,677 up to order 7); without
-        # them all 2^(n-1) extensions of every representative of order n - 1
-        # were keyed (11,290 up to order 7).
-        keyed = [0] * 8
+        # Each level holds the connected classes alone, built from connected
+        # parents only, so no disconnected graph is ever keyed. The
+        # twin-cell, least non-cut degree and neighbour-degree rules leave
+        # these one-vertex extensions to key (1,408 up to order 7).
+        keyed = [0] * 9
+        disconnected = []
         min_key = linarr.graph._min_key
 
         def counting(adj, colour):
             keyed[len(adj)] += 1
+            if len(_components(adj, (1 << len(adj)) - 1)) != 1:
+                disconnected.append(adj)
             return min_key(adj, colour)
 
         # Each key level is rebuilt uncached from the cached level below it,
         # so the order-8 level other tests share stays in the cache.
-        _key_level(6, False)
+        _key_level(7, False)
         monkeypatch.setattr(linarr.graph, "_min_key", counting)
-        for n in range(1, 8):
+        for n in range(1, 9):
             _key_level.__wrapped__(n, False)
-        assert keyed[1:] == [1, 2, 4, 11, 39, 192, 1428]
+        assert keyed[1:] == [0, 1, 2, 6, 25, 148, 1226, 14914]
+        assert disconnected == []
+
+    def test_cut_vertex_below_the_least_non_cut_degree(self, monkeypatch):
+        # P: two K5s joined through a path vertex x = 10 of degree 2. G: P
+        # plus a vertex joined to the four vertices of one K5 that miss x.
+        # That vertex is G's least-degree non-cut vertex with the largest
+        # inv, so G must be keyed from P, though |S| = 4 exceeds P's least
+        # degree plus one and x ends below |S|: x stays a cut vertex, so
+        # neither rule (ii') nor its cap may count it. No parent of the
+        # orders the other tests build has such a cut vertex.
+        k5 = list(combinations(range(5), 2))
+        p = make_graph(11, k5 + [(u + 5, v + 5) for u, v in k5] + [(0, 10), (5, 10)])
+        g = make_graph(12, p.edges | {(v, 11) for v in range(1, 5)})
+        monkeypatch.setattr(linarr.graph, "_key_level", lambda n, op: (_canonical_key(p),))
+        assert _canonical_key(g) in _key_level.__wrapped__(12, False)
 
     def test_outerplanar_stream_filters_the_full_enumeration(self):
         # Same representatives in the same order, element for element. The
@@ -396,27 +416,32 @@ class TestEnumeration:
             1, 2, 4, 10, 25, 80, 277, 1150]
 
     def test_outerplanar_extensions_keyed_per_order(self, monkeypatch):
-        # Only outerplanar extensions of outerplanar representatives are
-        # keyed: 520 up to order 7, against 1,677 for the full enumeration.
+        # Only connected outerplanar extensions of connected outerplanar
+        # representatives are keyed: 348 up to order 7, against 1,408 for
+        # the full enumeration.
         keyed = [0] * 9
+        disconnected = []
         min_key = linarr.graph._min_key
 
         def counting(adj, colour):
             keyed[len(adj)] += 1
+            if len(_components(adj, (1 << len(adj)) - 1)) != 1:
+                disconnected.append(adj)
             return min_key(adj, colour)
 
         _key_level(7, True)
         monkeypatch.setattr(linarr.graph, "_min_key", counting)
         for n in range(1, 9):
             _key_level.__wrapped__(n, True)
-        assert keyed[1:] == [1, 2, 4, 10, 29, 103, 371, 1413]
+        assert keyed[1:] == [0, 1, 2, 5, 16, 69, 255, 1013]
+        assert disconnected == []
 
     def test_outerplanar_stream_builds_a_graph_per_representative(self, monkeypatch):
         # Levels are kept as keys, and extensions are tested and keyed on
         # neighbour masks. With the lower levels cached, the order-7 level
-        # is built afresh: its 146 extensions with |S| = 2 each run the
-        # elimination once, and the only graphs built are the 172 connected
-        # classes the stream yields, each decoded without validation.
+        # is built afresh: its 142 extensions with |S| = 2 each run the
+        # elimination once, and the only graphs built are the 172 classes
+        # the stream yields, each decoded without validation.
         decoded = []
         validated = []
         eliminations = []
@@ -444,24 +469,35 @@ class TestEnumeration:
         assert len(graphs) == 172
         assert decoded == [7] * 172
         assert validated == []
-        assert eliminations == [7] * 146
+        assert eliminations == [7] * 142
 
     def test_outerplanar_stream_holds_random_outerplanar_graphs(self):
         # Independent of the rules that prune the stream: the canonical form
         # of any outerplanar graph, here a relabelled random subgraph of a
         # triangulated polygon, must be one of its order's representatives.
+        # Each order's representatives are composed once.
+        reps = {n: set(_all_graph_reps(n, True)) for n in range(5, 10)}
         rng = random.Random(23)
         for _ in range(300):
             n = rng.randint(5, 9)
             edges = [e for e in sorted(triangulated_polygon(n, rng)) if rng.random() < 0.8]
             g = relabeled(make_graph(n, edges), rng)
-            assert canonical_form(g) in _all_graph_reps(n, True), g
+            assert canonical_form(g) in reps[n], g
 
     def test_outerplanar_representatives_have_a_vertex_of_degree_two(self):
-        # The fact behind the outerplanar stream's cap |S| <= 2.
+        # The fact behind the outerplanar stream's cap |S| <= 2: every
+        # outerplanar class has a vertex of degree at most 2, and every
+        # connected one of order >= 2 has one that is not a cut vertex.
         for n in range(1, 9):
             for g in _all_graph_reps(n, True):
                 assert min(m.bit_count() for m in g.neighbor_masks) <= 2, g
+        for n in range(2, 10):
+            everyone = (1 << n) - 1
+            for g in enumerate_connected_outerplanar_graphs(n):
+                masks = g.neighbor_masks
+                assert any(masks[v].bit_count() <= 2
+                           and len(_components(masks, everyone ^ 1 << v)) == 1
+                           for v in range(n)), g
 
     def test_order_nine_outerplanar_stream_is_pinned(self):
         # 3,783 connected classes: OEIS A111563.
@@ -517,7 +553,8 @@ class TestEnumeration:
 
     def test_representatives_are_built_when_advanced(self, monkeypatch):
         # The stream asks for its key level only when first advanced, and
-        # yields the connected classes of that level, in its order.
+        # yields that level's classes, the connected ones of the full list,
+        # in its order.
         expected = [g for g in _all_graph_reps(4, True) if is_connected(g)]
         built = []
         key_level = _key_level
@@ -527,6 +564,7 @@ class TestEnumeration:
         assert built == []
         assert list(stream) == expected
         assert built == [(4, True)]
+        assert [_graph_from_key(4, key) for key in key_level(4, True)] == expected
 
 
 class TestMinKey:
@@ -632,6 +670,35 @@ class TestMinKey:
                         assert all(m >> v & 1 for v in cell[:k]), g
                 assert sorted(map(profile, found)) == sorted(
                     {profile(m) for m in independent if m.bit_count() == alpha}), g
+
+
+class TestCutPieces:
+    def test_matches_networkx(self):
+        # Every connected class to order 7 and seeded random connected
+        # graphs of orders 2..12: the vertices with two pieces or more are
+        # networkx's articulation points, and each vertex's pieces are the
+        # components of the graph without it.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(41)
+        graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            p = rng.uniform(0, 0.4)
+            tree = [(rng.randrange(v), v) for v in range(1, n)]
+            extra = [e for e in combinations(range(n), 2) if rng.random() < p]
+            graphs.append(relabeled(make_graph(n, tree + extra), rng))
+        cuts = 0
+        for g in graphs:
+            h = to_networkx(nx, g)
+            pieces = _cut_pieces(g.neighbor_masks)
+            assert {x for x, parts in enumerate(pieces) if len(parts) > 1} == set(
+                nx.articulation_points(h)), g
+            for x, parts in enumerate(pieces):
+                rest = h.subgraph(v for v in range(g.order) if v != x)
+                assert sorted(parts) == sorted(sum(1 << v for v in comp)
+                                               for comp in nx.connected_components(rest)), (g, x)
+            cuts += any(len(parts) > 1 for parts in pieces)
+        assert 0 < cuts < len(graphs)
 
 
 class TestTwinCells:
