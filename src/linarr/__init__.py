@@ -28,7 +28,6 @@ from .solvers import (
     ClaimVerdict,
     SolveResult,
     check_dominating_edge_claims,
-    enumerate_planar_optima,
     iter_crossing_free,
     solve_minla_dp,
     solve_minla_exhaustive,
@@ -59,7 +58,6 @@ __all__ = [
     "emit_graph",
     "enumerate_connected_graphs",
     "enumerate_connected_outerplanar_graphs",
-    "enumerate_planar_optima",
     "is_connected",
     "is_outerplanar",
     "is_planar_arrangement",

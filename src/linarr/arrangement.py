@@ -18,8 +18,8 @@ from .errors import ValidationError
 from .graph import Edge, Graph, normalize_edge
 
 
-# Bound once: `_trusted` runs once per witness, up to MAX_PLANAR_WITNESSES
-# times in one solve.
+# Bound once: `_trusted` runs once per witness, up to MAX_WITNESSES times
+# in one solve.
 _new = object.__new__
 _set = object.__setattr__
 

@@ -112,8 +112,8 @@ def _cmd_minla(args: argparse.Namespace) -> int:
         del result
         _print_json(report)
     else:
-        # Only the exhaustive solver collects every optimum; dp returns
-        # one, so a count from it would be wrong.
+        # Both solvers walk the same tables, but only `exhaustive` lists
+        # every optimum; dp returns one, so a count from it would be wrong.
         count = len(result.witnesses) if args.solver == "exhaustive" else None
         _print_solve(result.optimal_cost, result.best.positions, count, result.explored,
                      doc.labels)

@@ -2,9 +2,9 @@
 crossing-free variant, plus a mechanical checker for the structural claims
 about dominating cycle edges in crossing-free arrangements.
 
-The minLA solver is a dynamic program over vertex subsets; the exhaustive
-solver, which enumerates every arrangement of the vertices onto positions
-1..n and lists every optimum, is kept as its reference. The crossing-free
+The minLA solvers share one dynamic program over vertex subsets:
+`solve_minla_dp` returns the smallest optimum, and `solve_minla_exhaustive`
+lists every optimum, the DP's paths of tight moves. The crossing-free
 solver, `iter_crossing_free` and the claim checker share one prefix
 search, which drops a prefix as soon as some edge, placed or still to
 come, must cross, and by one more exact rule, on cut-vertex pockets; the
@@ -30,10 +30,10 @@ counts every member of each orbit. When the first arrangement it reaches
 has a Hamiltonian cycle for its vertex order, the graph is 2-connected
 and the checker lists the rest of its arrangements outright instead.
 Each solver has a maximum order (`MAX_ORDER_*`) above which it raises
-ValidationError instead of running for hours; the crossing-free solver
-builds the subset DP's tables and shares its limit, and it refuses to list
-more than MAX_PLANAR_WITNESSES optima. The gap search builds those tables
-for many classes of one order in one packed pass
+ValidationError instead of running for hours; all but the claim checker
+build the subset DP's tables and share its limit, and the two listing
+solvers refuse to list more than MAX_WITNESSES optima. The gap search
+builds those tables for many classes of one order in one packed pass
 (`_batched_subset_tables`) and hands each class's tables to both solves.
 """
 
@@ -55,38 +55,32 @@ SOLVER_EXHAUSTIVE = "exhaustive"
 SOLVER_DP = "subset-dp"
 SOLVER_PLANAR = "planar-prefix"
 
-# Largest order each solver accepts. At order 10 the exhaustive solver
-# already takes 15 s (P10); the subset DP takes 0.62-0.69 s for K17, its
-# worst case. Times are for one Xeon core under CPython 3.11. The
-# crossing-free solver uses MAX_ORDER_DP, since it builds the same 2**n
-# tables. The gap search builds and solves only the connected outerplanar
-# classes (OEIS A111563): 3,783 at order 9, built in about 0.8 s, with the
-# whole search taking about 2.7 s; order 10 has 20,074, built in about
-# 5 s, whose gaps take about 14 s more (CPU time on a shared 2-CPU host
-# under CPython 3.11.7). The claim checker examines one
-# crossing-free arrangement per orbit of mirroring and twin swaps, so its
-# time follows the number of orbits. A triangle with pendants on one
+# Largest order each solver accepts. The subset DP takes 0.62-0.69 s for
+# K17, its worst case, and both listing solvers use MAX_ORDER_DP, since
+# they build the same 2**n tables. The gap search builds and solves only
+# the connected outerplanar classes (OEIS A111563): 3,783 at order 9,
+# built in about 0.8 s, with the whole search taking about 2.7 s; order 10
+# has 20,074, built in about 5 s, whose gaps take about 14 s more (CPU time
+# on a shared 2-CPU host under CPython 3.11.7). The claim checker examines
+# one crossing-free arrangement per orbit of mirroring and twin swaps, so
+# its time follows the number of orbits. A triangle with pendants on one
 # vertex has 2n(n - 2)! arrangements in n(n - 2) orbits, and checking it
 # takes 2.1 ms at order 10 (806,400 arrangements) and 2.8 ms at order 11.
 # Inputs with few twins gain little more than the mirror half: a
 # triangle, an edge, a 4-path and an isolated vertex (order 10, 138,240
 # arrangements in 34,560 orbits) take 0.51 s, so the limit stays at 10.
-# Times are CPU time on one Xeon core under CPython 3.11.
-MAX_ORDER_EXHAUSTIVE = 10
+# Other times are CPU time on one Xeon core under CPython 3.11.
 MAX_ORDER_DP = 17
 MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
-# Most optima the crossing-free solver lists. The count is known before any
-# witness is built, so a graph above it is refused at once; below it every
-# witness is expanded from its orbit, and the whole list sorted, before any
-# is written out. The 10-star's 362,880 optima up to reversal take 0.6 s
-# and 94 MB of peak RSS as one `planar-minla --json` request on one Xeon
-# core under CPython 3.11, and as many on 12 vertices with 3-letter labels
-# (a 9-leaf star with a 2-vertex path on its centre) 0.74 s and 113 MB; so a
-# request under the cap stays within about 150 MB and 1 s. The human
-# report lists none of them. The 11-star has 1,814,400 optima up to
-# reversal and the 12-star 39,916,800.
-MAX_PLANAR_WITNESSES = 500_000
+# Most optima up to reversal that either listing solver lists. The count is
+# known before any witness is built, so a graph above it is refused at once.
+# Below it, 362,880 optima take 0.6 s and 94 MB of peak RSS as the 10-star's
+# `planar-minla --json` request, 2.0 s and 128 MB as K1,9's `minla --solver
+# exhaustive --json` (CPython 3.11.7, one core of a shared 2-CPU host); the
+# human reports list none of them. The 11-star has 1,814,400 crossing-free
+# optima up to reversal, as K10 has minLA optima, and K17 has 17!/2.
+MAX_WITNESSES = 500_000
 
 
 @dataclass(frozen=True)
@@ -96,9 +90,8 @@ class SolveResult:
     `witnesses` holds the optimal arrangements up to reversal, sorted by
     position sequence: of each mirror pair only the member that precedes
     its mirror, and `reverse` gives the other (the subset DP returns only
-    the smallest). For the exhaustive solver, `explored` counts the
-    complete arrangements whose cost was evaluated, n!; for the subset DP
-    it counts the subset states evaluated, 2**n. The crossing-free solver
+    the smallest). For both minLA solvers, `explored` counts the subset
+    states of their shared tables, 2**n. The crossing-free solver
     reaches only the twin-sorted optima up to reversal, one per orbit of
     twin swaps and mirroring, and expands them into the witnesses
     afterwards, so its `explored` counts the twin-sorted complete
@@ -123,35 +116,12 @@ def _check_order(g: Graph, limit: int, solver_id: str) -> None:
         )
 
 
-def solve_minla_exhaustive(g: Graph) -> SolveResult:
-    """Minimize total edge length over all n! arrangements; collect every
-    optimum up to reversal."""
-    _check_order(g, MAX_ORDER_EXHAUSTIVE, SOLVER_EXHAUSTIVE)
-    n = g.order
-    edges = g.sorted_edges
-    best: int | None = None
-    witnesses: list[tuple[int, ...]] = []
-    explored = 0
-    pos = [0] * n
-    for perm in permutations(range(n)):
-        for i, v in enumerate(perm):
-            pos[v] = i + 1
-        c = sum(abs(pos[u] - pos[v]) for u, v in edges)
-        explored += 1
-        if best is None or c < best:
-            best = c
-            witnesses = [tuple(pos)]
-        elif c == best:
-            witnesses.append(tuple(pos))
-    assert best is not None
-    # Arrangements order by their one field, so sorting the raw tuples gives
-    # the same order; only the tuples kept become Arrangements. The optima
-    # are closed under reversal, so a tuple is kept iff it precedes its
-    # mirror.
-    flip = (n + 1).__sub__
-    witnesses = sorted(p for p in witnesses if p <= tuple(map(flip, p)))
-    return SolveResult(best, tuple(map(Arrangement._trusted, witnesses)), explored,
-                       SOLVER_EXHAUSTIVE)
+def _check_witnesses(total: int, solver_id: str) -> None:
+    """Refuse a listing of more than MAX_WITNESSES optima up to reversal."""
+    if total > MAX_WITNESSES:
+        raise ValidationError(f"the {solver_id} solver lists at most {MAX_WITNESSES:,} optimal "
+                              f"arrangements, and this graph has {total:,}; `gap` reports "
+                              "the optimum and the smallest of them")
 
 
 def _subset_tables(g: Graph) -> tuple[list[int], list[int]]:
@@ -267,8 +237,8 @@ def solve_minla_dp(g: Graph) -> SolveResult:
     the paths of tight moves from the empty set to V.
 
     `witnesses` holds a single arrangement: the lexicographically smallest
-    optimum by position tuple, i.e. the exhaustive solver's `best`, which
-    precedes its mirror. Read a position tuple as the digits of a
+    optimum by position tuple, i.e. `solve_minla_exhaustive`'s `best`,
+    which precedes its mirror. Read a position tuple as the digits of a
     number in base n + 1, vertex 0 most significant: every position is at
     most n, so the digits never carry, and comparing the numbers compares
     the tuples. The move S -> S+v puts v at position |S| + 1, so it adds
@@ -311,6 +281,52 @@ def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> SolveResult
         lex[s] = best
     pos = tuple(lex[0] // w % (n + 1) for w in weight)
     return SolveResult(opt, (Arrangement._trusted(pos),), size, SOLVER_DP)
+
+
+def solve_minla_exhaustive(g: Graph) -> SolveResult:
+    """Every minLA optimum up to reversal, in ascending position-tuple
+    order: the paths of tight moves of `solve_minla_dp`'s tables.
+
+    One backward pass counts the tight paths from each tight state to V,
+    and more than MAX_WITNESSES optima up to reversal raise ValidationError
+    before any is built. A forward pass over the tight states then extends
+    the prefixes that end in each, so its tight moves are found once. A
+    prefix is kept as its position tuple read as a number in base 256,
+    vertex 0 most significant, which `int.to_bytes` reads back. Of each
+    mirror pair the member that precedes its mirror is kept, by the mirror
+    break: the first (n + 1) // 2 vertices hold vertex 0, and vertex 1 too
+    if n is odd and vertex 0 is in the middle. `explored` is 2**n.
+    """
+    _check_order(g, MAX_ORDER_DP, SOLVER_EXHAUSTIVE)
+    n = g.order
+    cut, ahead = _subset_tables(g)
+    full = (1 << n) - 1
+    opt = ahead[full]
+    togo = ahead[::-1]
+    bits = [1 << v for v in range(n)]
+    paths = [0] * full + [1]
+    for s in range(full - 1, -1, -1):
+        if ahead[s] - cut[s] + togo[s] == opt:
+            need = opt - ahead[s]
+            paths[s] = sum(paths[s | b] for b in bits if not s & b and togo[s | b] == need)
+    # Only at order 0 or 1 is an optimum its own mirror.
+    _check_witnesses(paths[0] if n < 2 else paths[0] // 2, SOLVER_EXHAUSTIVE)
+    half = (n + 1) // 2
+    prefixes = {0: [0]}
+    for s in range(full):
+        keys = prefixes.pop(s, None)
+        if keys is None:
+            continue
+        k = s.bit_count() + 1
+        need = opt - ahead[s]
+        for v, b in enumerate(bits):
+            if s & b or togo[s | b] != need or k == half < n and (
+                    not (s | b) & 1 or n & 1 and v == 0 and not s & 2):
+                continue
+            step = k << 8 * (n - 1 - v)
+            prefixes.setdefault(s | b, []).extend(map(step.__add__, keys))
+    witnesses = (Arrangement._trusted(tuple(x.to_bytes(n, "big"))) for x in sorted(prefixes[full]))
+    return SolveResult(opt, tuple(witnesses), full + 1, SOLVER_EXHAUSTIVE)
 
 
 def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
@@ -637,7 +653,7 @@ def _expand_orbits(optima: list[tuple[int, ...]], cells: list[int]) -> list[tupl
 def _planar_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]] | None:
     """`_twin_sorted_optima` of g as `solve_planar_minla` lists them, or None
     if g is not outerplanar: the order limit is checked first, and more than
-    MAX_PLANAR_WITNESSES optima in all raise ValidationError before any is
+    MAX_WITNESSES optima in all raise ValidationError before any is
     expanded. The witnesses are `sorted(_expand_orbits(optima, cells))`; the
     smallest is `min(optima)` and their count `len(optima) * _swaps(cells)`.
     """
@@ -645,13 +661,7 @@ def _planar_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]
     if not is_outerplanar(g):
         return None
     optimum, optima, explored, cells = _twin_sorted_optima(g, _subset_tables(g)[1])
-    total = len(optima) * _swaps(cells)
-    if total > MAX_PLANAR_WITNESSES:
-        raise ValidationError(
-            f"the {SOLVER_PLANAR} solver lists at most {MAX_PLANAR_WITNESSES:,} optimal "
-            f"arrangements, and this graph has {total:,}; `gap` reports the optimum "
-            "and the smallest of them"
-        )
+    _check_witnesses(len(optima) * _swaps(cells), SOLVER_PLANAR)
     return optimum, optima, explored, cells
 
 
@@ -669,7 +679,7 @@ def solve_planar_minla(g: Graph) -> SolveResult | None:
     excepted) in ascending order only. Each twin-sorted optimum is then
     expanded into every permutation inside its twin cells. `explored`
     counts the twin-sorted complete arrangements the search reaches. More
-    than MAX_PLANAR_WITNESSES witnesses raise ValidationError before any
+    than MAX_WITNESSES witnesses raise ValidationError before any
     is built; `compute_gap` needs only the smallest and answers such
     graphs. The search is pruned by the subset DP's tables, so it shares
     that solver's order limit. A graph has a crossing-free arrangement iff
@@ -683,14 +693,6 @@ def solve_planar_minla(g: Graph) -> SolveResult | None:
     witnesses = sorted(_expand_orbits(optima, cells))
     return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored,
                        SOLVER_PLANAR)
-
-
-def enumerate_planar_optima(g: Graph) -> list[Arrangement] | None:
-    """All crossing-free optima up to reversal, `solve_planar_minla`'s
-    witnesses; None if none exist. More than MAX_PLANAR_WITNESSES raise
-    ValidationError."""
-    result = solve_planar_minla(g)
-    return None if result is None else list(result.witnesses)
 
 
 def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:

@@ -84,6 +84,12 @@ def oracle_minla(g: Graph) -> tuple[int, set[tuple[int, ...]]]:
     return best if best is not None else 0, witnesses
 
 
+def up_to_reversal(optima) -> list[tuple[int, ...]]:
+    """The position tuples among `optima` that precede their mirrors, sorted:
+    the solvers' witness lists, given every optimum."""
+    return sorted(p for p in optima if p <= tuple(len(p) + 1 - x for x in p))
+
+
 def oracle_planar_minla(g: Graph) -> tuple[int | None, set[tuple[int, ...]]]:
     best: int | None = None
     witnesses: set[tuple[int, ...]] = set()

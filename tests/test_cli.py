@@ -33,9 +33,8 @@ from linarr import (
 from linarr.solvers import (
     MAX_ORDER_CLAIMS,
     MAX_ORDER_DP,
-    MAX_ORDER_EXHAUSTIVE,
     MAX_ORDER_SEARCH,
-    MAX_PLANAR_WITNESSES,
+    MAX_WITNESSES,
 )
 
 PENTAGON_TEXT = "a b\nb c\nc d\nd e\ne a\nb d\n"
@@ -97,8 +96,13 @@ C7_CHORD_TEXT = "a b\nb c\nc d\nd e\ne f\nf g\ng a\na d\n"
 # sha256 of `linarr planar-minla <C10 with chords> --json` and of `linarr
 # minla <C7 with chord> --solver exhaustive --json` stdout, taken while each
 # witness was still emitted through its own `Arrangement.vertex_order()`.
+# The second was taken while the exhaustive solver costed all n!
+# arrangements, with "explored": 5040; C7_CHORD_EXHAUSTIVE_SHA256 was
+# retaken when it began to list the subset DP's tight paths, and the
+# output differs from the one before only in "explored", 5040 -> 128.
 C10_CHORDS_PLANAR_SHA256 = "588464a419423fdafc9513ec9b2b2e4501ce588efa3f867d605a6cb05fa9e019"
-C7_CHORD_EXHAUSTIVE_SHA256 = "43330150dffabaf098abad12dd7e912b8041750d6b0160a584f1ca11e74df2a1"
+C7_CHORD_PERMUTATIONS_SHA256 = "43330150dffabaf098abad12dd7e912b8041750d6b0160a584f1ca11e74df2a1"
+C7_CHORD_EXHAUSTIVE_SHA256 = "c886238cdcc195c99e0a50f2ff7489b20925fcf7e71d626863ae67592038d139"
 
 
 @pytest.fixture
@@ -176,9 +180,11 @@ class TestMinla:
         assert code == 0
         assert len(json.loads(out)["witnesses"]) == 16
         assert hashlib.sha256(out.encode()).hexdigest() == C7_CHORD_EXHAUSTIVE_SHA256
+        before = out.replace('"explored": 128,', '"explored": 5040,')
+        assert hashlib.sha256(before.encode()).hexdigest() == C7_CHORD_PERMUTATIONS_SHA256
 
     @pytest.mark.parametrize("solver, limit", [("dp", MAX_ORDER_DP),
-                                               ("exhaustive", MAX_ORDER_EXHAUSTIVE)])
+                                               ("exhaustive", MAX_ORDER_DP)])
     def test_order_limit_is_validation_error(self, capsys, tmp_path, solver, limit):
         path = tmp_path / "big.edges"
         path.write_text("".join(f"v{i}\n" for i in range(limit + 1)))
@@ -195,7 +201,28 @@ class TestMinla:
 
     def test_explored_reported(self, capsys, pentagon_file):
         _, out, _ = run(capsys, "minla", pentagon_file, "--solver", "exhaustive", "--json")
-        assert json.loads(out)["explored"] == 120
+        assert json.loads(out)["explored"] == 2 ** 5
+
+    def test_exhaustive_lists_at_the_order_limit(self, capsys, tmp_path):
+        # P17 has one optimum up to reversal. K1,9's 362,880 are listed in
+        # test_solvers.py.
+        path = tmp_path / "p17.edges"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(MAX_ORDER_DP - 1)))
+        code, out, _ = run(capsys, "minla", str(path), "--solver", "exhaustive", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["witnesses"] == [",".join(f"v{i}" for i in range(MAX_ORDER_DP))]
+        assert payload["explored"] == 2 ** MAX_ORDER_DP
+
+    def test_exhaustive_refuses_too_many_optima(self, capsys, tmp_path):
+        # K10 has 10! optima, 1,814,400 up to reversal.
+        path = tmp_path / "k10.edges"
+        path.write_text("".join(f"v{u} v{v}\n" for v in range(10) for u in range(v)))
+        code, out, err = run(capsys, "minla", str(path), "--solver", "exhaustive", "--json")
+        assert code == 1
+        assert out == ""
+        assert f"lists at most {MAX_WITNESSES:,} optimal arrangements" in err
+        assert "1,814,400" in err
 
     def test_retired_solver_is_a_usage_error(self, capsys, pentagon_file):
         # The prefix-search solver's old choice name, spelled in two parts so
@@ -259,7 +286,7 @@ class TestPlanarMinla:
         assert time.perf_counter() - start < 10
         assert code == 1
         assert out == ""
-        assert f"lists at most {MAX_PLANAR_WITNESSES:,} optimal arrangements" in err
+        assert f"lists at most {MAX_WITNESSES:,} optimal arrangements" in err
         assert "39,916,800" in err
 
     @pytest.mark.parametrize("text", [STAR9_TEXT, C10_CHORDS_TEXT])
@@ -454,7 +481,7 @@ HUMAN_PINS = {
                  "optimal cost: 9\nwitness: a,e,b,d,c\nexplored: 32\nsolver: subset-dp\n"),
     "minla-exhaustive": (PENTAGON_TEXT, ["minla", "--solver", "exhaustive"],
                          "optimal cost: 9\nwitness: a,e,b,d,c\nwitnesses up to reversal: 4\n"
-                         "explored: 120\nsolver: exhaustive\n"),
+                         "explored: 32\nsolver: exhaustive\n"),
     "planar-minla-pentagon": (PENTAGON_TEXT, ["planar-minla"],
                               "optimal cost: 10\nwitness: a,b,c,d,e\n"
                               "witnesses up to reversal: 3\nexplored: 3\n"),

@@ -24,6 +24,7 @@ from conftest import (
     path_graph,
     reference_claims,
     simple_cycles,
+    up_to_reversal,
 )
 from linarr import (
     Arrangement,
@@ -34,7 +35,6 @@ from linarr import (
     cost,
     enumerate_connected_graphs,
     enumerate_connected_outerplanar_graphs,
-    enumerate_planar_optima,
     is_outerplanar,
     is_planar_arrangement,
     iter_crossing_free,
@@ -48,8 +48,7 @@ from linarr.graph import _all_graph_reps, _twin_masks
 from linarr.solvers import (
     MAX_ORDER_CLAIMS,
     MAX_ORDER_DP,
-    MAX_ORDER_EXHAUSTIVE,
-    MAX_PLANAR_WITNESSES,
+    MAX_WITNESSES,
     _batched_subset_tables,
     _crossing_free_search,
     _subset_tables,
@@ -63,6 +62,11 @@ ORDER7_STREAM_SHA256 = "a87b88d23fb3db32087b944382d12ebb04b4c368c1c3bc140b028bd2
 # repr([(r.optimal_cost, r.best.positions) for r in solve_minla_dp results]),
 # taken while the witness was still found by fixing one vertex at a time.
 DP_ORDER7_SHA256 = "d3e2b66f467cafb74a244c81bf182cd2e1eb7861f286cd73d6b3092c54448168"
+
+# The same graphs, of repr([(r.optimal_cost, [w.positions for w in
+# r.witnesses]) for solve_minla_exhaustive results]), taken while that
+# solver still costed all n! arrangements.
+EXHAUSTIVE_ORDER7_SHA256 = "3f4f99b8766846871117851f1949b3563a1a3135be5c2db8cdae0ec5c93d041f"
 
 # sha256 over the graphs of _all_graph_reps(k), k = 0..7, of two records per
 # solve_planar_minla result, repr(None) or repr((optimal_cost, explored,
@@ -113,7 +117,7 @@ class TestExhaustive:
         result = solve_minla_exhaustive(pentagon)
         assert result.optimal_cost == 9
         assert arr_of("aebdc") in result.witnesses
-        assert result.explored == 120
+        assert result.explored == 2 ** 5
 
     def test_matches_oracle_witnesses(self, pentagon):
         best, witnesses = oracle_minla(pentagon)
@@ -137,6 +141,33 @@ class TestExhaustive:
         for a in result.witnesses:
             assert a.positions < reverse(a).positions
 
+    def test_witnesses_are_pinned_to_order_seven(self):
+        # Every graph of order <= 7, disconnected ones included.
+        results = [solve_minla_exhaustive(g) for k in range(8) for g in _all_graph_reps(k)]
+        assert len(results) == 1253
+        digest = hashlib.sha256(repr([(r.optimal_cost, [w.positions for w in r.witnesses])
+                                      for r in results]).encode())
+        assert digest.hexdigest() == EXHAUSTIVE_ORDER7_SHA256
+
+    def test_cap_counts_exactly_the_witnesses(self, monkeypatch):
+        # The count that the cap is checked against, before any witness is
+        # built, is the number listed.
+        listed = [(g, len(solve_minla_exhaustive(g).witnesses)) for g in _all_graph_reps(6)]
+        for g, count in listed:
+            monkeypatch.setattr("linarr.solvers.MAX_WITNESSES", count - 1)
+            with pytest.raises(ValidationError, match=f"at most {count - 1:,} .* has {count:,};"):
+                solve_minla_exhaustive(g)
+
+    def test_nine_star_is_listed(self):
+        # Every arrangement with the centre at position 5 or 6 is optimal:
+        # 2 * 9! optima, 362,880 up to reversal, under MAX_WITNESSES.
+        star = make_graph(10, [(0, i) for i in range(1, 10)])
+        result = solve_minla_exhaustive(star)
+        assert result.optimal_cost == 25
+        assert len(result.witnesses) == 362880 <= MAX_WITNESSES
+        assert result.best.positions == (5,) + tuple(range(1, 5)) + tuple(range(6, 11))
+        assert result.witnesses[-1].positions == (5,) + tuple(range(10, 5, -1)) + (4, 3, 2, 1)
+
 
 class TestSubsetDP:
     def test_pentagon(self, pentagon):
@@ -148,14 +179,13 @@ class TestSubsetDP:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_exhaustive_optimum_and_best(self, n):
-        # The witness contract: the DP returns exactly the exhaustive
-        # solver's lexicographically smallest optimum.
+        # The witness contract: the DP returns exactly the brute-force
+        # oracle's lexicographically smallest optimum.
         for g in enumerate_connected_graphs(n):
+            best, optima = oracle_minla(g)
             dp = solve_minla_dp(g)
-            ex = solve_minla_exhaustive(g)
-            assert dp.optimal_cost == ex.optimal_cost
-            assert dp.best == ex.best
-            assert dp.witnesses == (dp.best,)
+            assert dp.optimal_cost == best
+            assert dp.witnesses == (Arrangement(min(optima)),)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(min_order=1, max_order=7))
@@ -178,7 +208,7 @@ class TestSubsetDP:
 
     def test_witnesses_are_pinned_to_order_seven(self):
         # Every graph of order <= 7, disconnected ones included; the
-        # exhaustive comparison above stops at connected order 6.
+        # oracle comparison above stops at connected order 6.
         results = [solve_minla_dp(g) for k in range(8) for g in _all_graph_reps(k)]
         assert len(results) == 1253
         digest = hashlib.sha256(
@@ -227,7 +257,7 @@ class UnreadableGraph(Graph):
 
 class TestOrderLimits:
     @pytest.mark.parametrize("solve, limit", [
-        (solve_minla_exhaustive, MAX_ORDER_EXHAUSTIVE),
+        (solve_minla_exhaustive, MAX_ORDER_DP),
         (solve_minla_dp, MAX_ORDER_DP),
         (solve_planar_minla, MAX_ORDER_DP),
     ])
@@ -245,7 +275,7 @@ class TestOrderLimits:
         assert check_dominating_edge_claims(g, g.edges).arrangement_count > 0
 
     def test_documented_limits(self):
-        assert MAX_ORDER_EXHAUSTIVE == MAX_ORDER_CLAIMS == 10
+        assert MAX_ORDER_CLAIMS == 10
         assert MAX_ORDER_DP <= 20
 
 
@@ -556,12 +586,12 @@ class TestTwinQuotient:
         _assert_matches(g, 20, optima)
 
     def test_ten_star_is_answered(self):
-        # 2 * 9! optima, 362,880 up to reversal, under MAX_PLANAR_WITNESSES.
+        # 2 * 9! optima, 362,880 up to reversal, under MAX_WITNESSES.
         star = make_graph(10, [(0, i) for i in range(1, 10)])
         result = solve_planar_minla(star)
         assert result.optimal_cost == 25
         assert result.explored == 13
-        assert len(result.witnesses) == 362880 <= MAX_PLANAR_WITNESSES
+        assert len(result.witnesses) == 362880 <= MAX_WITNESSES
         assert result.best.positions == (5,) + tuple(range(1, 5)) + tuple(range(6, 11))
 
     def test_witness_cap_is_checked_before_expansion(self, monkeypatch):
@@ -571,9 +601,9 @@ class TestTwinQuotient:
         def no_expansion(*args, **kwargs):
             raise AssertionError("the witnesses were expanded past the cap")
 
-        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20160)
+        monkeypatch.setattr("linarr.solvers.MAX_WITNESSES", 20160)
         assert len(solve_planar_minla(star).witnesses) == 20160
-        monkeypatch.setattr("linarr.solvers.MAX_PLANAR_WITNESSES", 20159)
+        monkeypatch.setattr("linarr.solvers.MAX_WITNESSES", 20159)
         monkeypatch.setattr("linarr.solvers._expand_orbits", no_expansion)
         with pytest.raises(ValidationError, match="at most 20,159 .* has 20,160"):
             solve_planar_minla(star)
@@ -590,7 +620,7 @@ class TestTwinQuotient:
                 assert report.gap == planar.optimal_cost - report.minla_opt
 
     def test_gap_answers_the_twelve_star(self):
-        # 2 * 11! crossing-free optima, far more than MAX_PLANAR_WITNESSES;
+        # 2 * 11! crossing-free optima, far more than MAX_WITNESSES;
         # compute_gap never lists them.
         star = make_graph(12, [(0, i) for i in range(1, 12)])
         start = time.perf_counter()
@@ -607,16 +637,16 @@ class TestTwinQuotient:
 
 class TestPlanarOptima:
     def test_pentagon_optima_up_to_reversal(self, pentagon):
-        optima = enumerate_planar_optima(pentagon)
+        optima = solve_planar_minla(pentagon).witnesses
         assert {letters_of(a) for a in optima} == {"abcde", "aedcb", "eabcd"}
 
     def test_k2(self):
-        optima = enumerate_planar_optima(make_graph(2, [(0, 1)]))
-        assert optima == [Arrangement((1, 2))]
+        optima = solve_planar_minla(make_graph(2, [(0, 1)])).witnesses
+        assert optima == (Arrangement((1, 2)),)
 
     def test_c4_optima_are_nested_layouts(self):
         g = cycle_graph(4)
-        optima = enumerate_planar_optima(g)
+        optima = solve_planar_minla(g).witnesses
         assert len(optima) == 4
         for a in optima:
             spanning = [
@@ -626,7 +656,7 @@ class TestPlanarOptima:
             assert len(spanning) == 1
 
     def test_k4_distinguished_outcome(self):
-        assert enumerate_planar_optima(complete_graph(4)) is None
+        assert solve_planar_minla(complete_graph(4)) is None
 
 
 class TestSolverInvariants:
@@ -638,12 +668,12 @@ class TestSolverInvariants:
             result = solve(make_graph(n))
             assert result.optimal_cost == 0
             assert result.witnesses == (Arrangement(tuple(range(1, n + 1))),)
-            assert result.explored == (2 ** n if solve is solve_minla_dp else 1)
+            assert result.explored == (1 if solve is solve_planar_minla else 2 ** n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_witnesses_are_the_oracle_optima_up_to_reversal(self, n):
-        # Each listed witness precedes its mirror, and the witnesses with
-        # their mirrors are every optimum.
+        # The witnesses are the oracle's optima that precede their mirrors,
+        # sorted; `reverse` gives the others.
         for g in enumerate_connected_graphs(n):
             for (best, optima), result in [(oracle_minla(g), solve_minla_exhaustive(g)),
                                            (oracle_planar_minla(g), solve_planar_minla(g))]:
@@ -651,11 +681,7 @@ class TestSolverInvariants:
                     assert result is None
                     continue
                 assert result.optimal_cost == best
-                listed = [a.positions for a in result.witnesses]
-                mirrors = [reverse(a).positions for a in result.witnesses]
-                assert listed == sorted(set(listed))
-                assert all(p <= q for p, q in zip(listed, mirrors))
-                assert set(listed + mirrors) == optima
+                assert [a.positions for a in result.witnesses] == up_to_reversal(optima)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sandwich_and_witness_validity(self, n):
