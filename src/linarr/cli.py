@@ -32,12 +32,13 @@ from .graphio import (
 from .render import FORMATS, emit_arc_diagram
 from .solvers import (
     MAX_ORDER_SEARCH,
+    SOLVER_EXHAUSTIVE,
     _expand_orbits,
+    _minla_optima,
     _planar_optima,
     _swaps,
     check_dominating_edge_claims,
     solve_minla_dp,
-    solve_minla_exhaustive,
 )
 
 
@@ -76,74 +77,52 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _solve_payload(optimal_cost: int, witnesses, explored: int, labels) -> dict:
-    """The keys minla and planar-minla share, from the witnesses' position
-    tuples in order; the best optimum is witnesses[0]."""
-    witnesses = _emit_positions(witnesses, labels)
-    return {
-        "optimal_cost": optimal_cost,
-        "witness": witnesses[0],
-        "witnesses": witnesses,
-        "explored": explored,
-    }
-
-
-def _print_solve(optimal_cost: int, best: tuple[int, ...], count: int | None,
-                 explored: int, labels) -> None:
-    """The human report: one witness, the best, and the number of witnesses
-    up to reversal unless count is None."""
-    print(f"optimal cost: {optimal_cost}")
-    print(f"witness: {_emit_positions((best,), labels)[0]}")
-    if count is not None:
-        print(f"witnesses up to reversal: {count}")
+def _report_optima(args: argparse.Namespace, labels, found, head: dict,
+                   counted: bool = True) -> None:
+    """The minla or planar-minla report, after `head`, from the twin-sorted
+    optima of a listing (`_minla_optima`, `_planar_optima`), kept as
+    position tuples: no Arrangement is built. `--json` expands the orbits;
+    the human report does not (`solvers._listing`), and gives the count
+    only if `counted`."""
+    optimum, optima, explored, cells = found
+    if args.json:
+        witnesses = _emit_positions(sorted(_expand_orbits(optima, cells)), labels)
+        _print_json({**head, "optimal_cost": optimum, "witness": witnesses[0],
+                     "witnesses": witnesses, "explored": explored})
+        return
+    print(f"optimal cost: {optimum}")
+    print(f"witness: {_emit_positions((min(optima),), labels)[0]}")
+    if counted:
+        print(f"witnesses up to reversal: {len(optima) * _swaps(cells)}")
     print(f"explored: {explored}")
 
 
 def _cmd_minla(args: argparse.Namespace) -> int:
     doc = _load_doc(args.graph)
-    solve = {"dp": solve_minla_dp, "exhaustive": solve_minla_exhaustive}[args.solver]
-    result = solve(doc.graph)
-    if args.json:
-        report = {"command": "minla", "solver": result.solver_id,
-                  **_solve_payload(result.optimal_cost,
-                                   (arr.positions for arr in result.witnesses),
-                                   result.explored, doc.labels)}
-        # The encoder needs only the strings: free the witnesses first.
-        del result
-        _print_json(report)
+    listing = args.solver == "exhaustive"
+    if listing:
+        found, solver_id = _minla_optima(doc.graph), SOLVER_EXHAUSTIVE
     else:
-        # Both solvers walk the same tables, but only `exhaustive` lists
-        # every optimum; dp returns one, so a count from it would be wrong.
-        count = len(result.witnesses) if args.solver == "exhaustive" else None
-        _print_solve(result.optimal_cost, result.best.positions, count, result.explored,
-                     doc.labels)
-        print(f"solver: {result.solver_id}")
+        # The subset DP returns one optimum, so a count from it would be wrong.
+        result = solve_minla_dp(doc.graph)
+        found = result.optimal_cost, [result.best.positions], result.explored, []
+        solver_id = result.solver_id
+    _report_optima(args, doc.labels, found, {"command": "minla", "solver": solver_id}, listing)
+    if not args.json:
+        print(f"solver: {solver_id}")
     return 0
 
 
 def _cmd_planar_minla(args: argparse.Namespace) -> int:
-    # The witnesses of `solve_planar_minla`, kept as position tuples from the
-    # search to the text: no Arrangement is built for any of them.
     doc = _load_doc(args.graph)
     found = _planar_optima(doc.graph)
-    if found is None:
-        if args.json:
-            _print_json({"command": "planar-minla", "planar_arrangement_exists": False})
-        else:
-            print("no crossing-free arrangement exists")
-        return 0
-    optimum, optima, explored, cells = found
-    if args.json:
-        witnesses = sorted(_expand_orbits(optima, cells))
-        report = {"command": "planar-minla", "planar_arrangement_exists": True,
-                  **_solve_payload(optimum, witnesses, explored, doc.labels)}
-        # The encoder needs only the strings: free the witnesses first.
-        del witnesses
-        _print_json(report)
+    if found is not None:
+        _report_optima(args, doc.labels, found,
+                       {"command": "planar-minla", "planar_arrangement_exists": True})
+    elif args.json:
+        _print_json({"command": "planar-minla", "planar_arrangement_exists": False})
     else:
-        # Nothing is expanded: the smallest witness is the least twin-sorted
-        # optimum, and every orbit has _swaps(cells) members.
-        _print_solve(optimum, min(optima), len(optima) * _swaps(cells), explored, doc.labels)
+        print("no crossing-free arrangement exists")
     return 0
 
 

@@ -17,9 +17,11 @@ arrangements, on which both claims hold vacuously. The solver also drops
 prefixes by the subset DP's exact cost-to-go, and expands a prefix that
 only ties the best cost once the optimum is known. Twins, vertices with
 the same neighbours apart from each other, can swap without changing
-cost or crossings, so the solver searches one twin-sorted optimum per
-orbit of such swaps, and of each mirror pair only the smaller member.
-Only when it lists the witnesses does it expand the orbits;
+cost or crossings, so both listing solvers find one twin-sorted optimum
+per orbit of such swaps, and of each mirror pair only the smaller member:
+the crossing-free one by its search, the minLA one by walking the tight
+moves under the same two rules. Both check the count against
+MAX_WITNESSES before any witness is built, and `_listing` expands both;
 `compute_gap` needs only the smallest optimum and does not. Both costs
 are invariant under reversal, so every solver lists its optima up to
 reversal: of each mirror pair only the member that precedes its mirror,
@@ -75,11 +77,11 @@ MAX_ORDER_SEARCH = 9
 MAX_ORDER_CLAIMS = 10
 # Most optima up to reversal that either listing solver lists. The count is
 # known before any witness is built, so a graph above it is refused at once.
-# Below it, 362,880 optima take 0.6 s and 94 MB of peak RSS as the 10-star's
-# `planar-minla --json` request, 2.0 s and 128 MB as K1,9's `minla --solver
-# exhaustive --json` (CPython 3.11.7, one core of a shared 2-CPU host); the
-# human reports list none of them. The 11-star has 1,814,400 crossing-free
-# optima up to reversal, as K10 has minLA optima, and K17 has 17!/2.
+# Below it, the 10-star's 362,880 optima take 0.7 s and 94 MB of peak RSS
+# as a `planar-minla --json` or `minla --solver exhaustive --json` request
+# (wall time, CPython 3.11.7, a shared 2-CPU host); the human reports list
+# none of them. The 11-star has 1,814,400 crossing-free optima up to
+# reversal, as K10 has minLA optima, and K17 has 17!/2.
 MAX_WITNESSES = 500_000
 
 
@@ -90,12 +92,13 @@ class SolveResult:
     `witnesses` holds the optimal arrangements up to reversal, sorted by
     position sequence: of each mirror pair only the member that precedes
     its mirror, and `reverse` gives the other (the subset DP returns only
-    the smallest). For both minLA solvers, `explored` counts the subset
-    states of their shared tables, 2**n. The crossing-free solver
-    reaches only the twin-sorted optima up to reversal, one per orbit of
-    twin swaps and mirroring, and expands them into the witnesses
-    afterwards, so its `explored` counts the twin-sorted complete
-    arrangements reached and may be far below the number of witnesses.
+    the smallest). Both listing solvers find only the twin-sorted optima
+    up to reversal, one per orbit of twin swaps and mirroring, and expand
+    them into the witnesses afterwards. For both minLA solvers, `explored`
+    counts the subset states of their shared tables, 2**n. The
+    crossing-free solver's `explored` counts the twin-sorted complete
+    arrangements its search reaches, and may be far below the number of
+    witnesses.
     """
 
     optimal_cost: int
@@ -285,48 +288,71 @@ def _minla_dp(g: Graph, cut: Sequence[int], ahead: Sequence[int]) -> SolveResult
 
 def solve_minla_exhaustive(g: Graph) -> SolveResult:
     """Every minLA optimum up to reversal, in ascending position-tuple
-    order: the paths of tight moves of `solve_minla_dp`'s tables.
+    order: the paths of tight moves of `solve_minla_dp`'s tables. More
+    than MAX_WITNESSES raise ValidationError before any is built.
+    `explored` is 2**n.
+    """
+    return _listing(_minla_optima(g), SOLVER_EXHAUSTIVE)
 
-    One backward pass counts the tight paths from each tight state to V,
-    and more than MAX_WITNESSES optima up to reversal raise ValidationError
-    before any is built. A forward pass over the tight states then extends
-    the prefixes that end in each, so its tight moves are found once. A
-    prefix is kept as its position tuple read as a number in base 256,
-    vertex 0 most significant, which `int.to_bytes` reads back. Of each
-    mirror pair the member that precedes its mirror is kept, by the mirror
-    break: the first (n + 1) // 2 vertices hold vertex 0, and vertex 1 too
-    if n is odd and vertex 0 is in the middle. `explored` is 2**n.
+
+def _minla_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]]:
+    """`solve_minla_exhaustive`'s optima in the shape of `_twin_sorted_optima`:
+    (optimum, the twin-sorted optima that precede their mirrors, as
+    position tuples, 2**n, the twin cells), which `_listing` expands.
+
+    They are the paths of tight moves from the empty set, walked level by
+    level under the twin rule and the mirror break of
+    `_crossing_free_search`, whose proofs hold here too: swapping twins
+    keeps every edge interval. From a state on such a path the move
+    S -> S + v is tight iff togo[S + v] == opt - ahead[S], and it reaches
+    another such state. The first walk counts the paths into each state,
+    so their number times _swaps(cells) is checked against MAX_WITNESSES
+    before any optimum is built; the second extends the prefixes ending in
+    each state, each kept as its position tuple read as a number in base
+    256, vertex 0 most significant, which `int.to_bytes` reads back.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_EXHAUSTIVE)
     n = g.order
-    cut, ahead = _subset_tables(g)
+    ahead = _subset_tables(g)[1]
+    cells = _twin_cells_off(g, 3)
     full = (1 << n) - 1
     opt = ahead[full]
     togo = ahead[::-1]
-    bits = [1 << v for v in range(n)]
-    paths = [0] * full + [1]
-    for s in range(full - 1, -1, -1):
-        if ahead[s] - cut[s] + togo[s] == opt:
-            need = opt - ahead[s]
-            paths[s] = sum(paths[s | b] for b in bits if not s & b and togo[s | b] == need)
-    # Only at order 0 or 1 is an optimum its own mirror.
-    _check_witnesses(paths[0] if n < 2 else paths[0] // 2, SOLVER_EXHAUSTIVE)
     half = (n + 1) // 2
-    prefixes = {0: [0]}
-    for s in range(full):
-        keys = prefixes.pop(s, None)
-        if keys is None:
-            continue
-        k = s.bit_count() + 1
-        need = opt - ahead[s]
-        for v, b in enumerate(bits):
-            if s & b or togo[s | b] != need or k == half < n and (
-                    not (s | b) & 1 or n & 1 and v == 0 and not s & 2):
-                continue
-            step = k << 8 * (n - 1 - v)
-            prefixes.setdefault(s | b, []).extend(map(step.__add__, keys))
-    witnesses = (Arrangement._trusted(tuple(x.to_bytes(n, "big"))) for x in sorted(prefixes[full]))
-    return SolveResult(opt, tuple(witnesses), full + 1, SOLVER_EXHAUSTIVE)
+    # A move from S to S + v keeps the twin rule iff S & mask == low: v is
+    # unplaced, and the lower members of its cell are placed.
+    moves = [(1 << v | low, low, 1 << v) for v, low in enumerate(_twin_lower(cells, n))]
+    for counting in (True, False):
+        level = {0: 1 if counting else [0]}
+        for k in range(1, n + 1):
+            reached: dict = {}
+            for s, value in level.items():
+                need = opt - ahead[s]
+                for v, (mask, low, b) in enumerate(moves):
+                    if s & mask != low or togo[s | b] != need or k == half < n and (
+                            not (s | b) & 1 or n & 1 and v == 0 and not s & 2):
+                        continue
+                    if counting:
+                        reached[s | b] = reached.get(s | b, 0) + value
+                    else:
+                        digit = k << 8 * (n - 1 - v)
+                        reached.setdefault(s | b, []).extend(map(digit.__add__, value))
+            level = reached
+        if counting:
+            _check_witnesses(level[full] * _swaps(cells), SOLVER_EXHAUSTIVE)
+    return opt, [tuple(x.to_bytes(n, "big")) for x in level[full]], full + 1, cells
+
+
+def _listing(found: tuple[int, list[tuple[int, ...]], int, list[int]],
+             solver_id: str) -> SolveResult:
+    """The SolveResult of a listing solver from its twin-sorted optima
+    (`_minla_optima`, `_planar_optima`), whose count is already checked:
+    every permutation inside the cells of each, sorted. Without expanding,
+    the smallest witness is `min(optima)` and their count
+    `len(optima) * _swaps(cells)`."""
+    optimum, optima, explored, cells = found
+    witnesses = sorted(_expand_orbits(optima, cells))
+    return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored, solver_id)
 
 
 def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
@@ -460,12 +486,7 @@ def _crossing_free_search(g: Graph, cells: Sequence[int] | None = None,
     # each is built the first time b is a later neighbour of the top of
     # the stack.
     split: list[list[int] | None] = [None] * n
-    # lower[v]: the members of v's twin cell below v, for the twin rule.
-    lower = [0] * n
-    for c in cells or ():
-        for v in range(n):
-            if c >> v & 1:
-                lower[v] = c & ((1 << v) - 1)
+    lower = _twin_lower(cells or (), n)
 
     def walk() -> Iterator[tuple[int, tuple[int, ...]]]:
         if not full:
@@ -599,6 +620,15 @@ def _twin_cells_off(g: Graph, fixed: int) -> list[int]:
             if c.bit_count() > 1]
 
 
+def _twin_lower(cells: Sequence[int], n: int) -> list[int]:
+    """lower[v]: the members of v's twin cell below v, for the twin rule."""
+    lower = [0] * n
+    for c in cells:
+        for v in _bits_of(c):
+            lower[v] = c & ((1 << v) - 1)
+    return lower
+
+
 def _swaps(cells: Sequence[int]) -> int:
     """prod(|cell|!): the number of permutations inside the twin cells."""
     return math.prod(math.factorial(c.bit_count()) for c in cells)
@@ -654,8 +684,7 @@ def _planar_optima(g: Graph) -> tuple[int, list[tuple[int, ...]], int, list[int]
     """`_twin_sorted_optima` of g as `solve_planar_minla` lists them, or None
     if g is not outerplanar: the order limit is checked first, and more than
     MAX_WITNESSES optima in all raise ValidationError before any is
-    expanded. The witnesses are `sorted(_expand_orbits(optima, cells))`; the
-    smallest is `min(optima)` and their count `len(optima) * _swaps(cells)`.
+    expanded. `_listing` lists them.
     """
     _check_order(g, MAX_ORDER_DP, SOLVER_PLANAR)
     if not is_outerplanar(g):
@@ -671,28 +700,19 @@ def solve_planar_minla(g: Graph) -> SolveResult | None:
     Returns None when the graph admits no crossing-free arrangement. The
     witness set contains every crossing-free optimum up to reversal, the
     member of each mirror pair that precedes its mirror (`reverse` gives
-    the other), so it doubles as the planar-optima enumerator. The search
-    yields only those members, and of them only the twin-sorted ones: it
-    defers prefixes that tie the incumbent until the optimum is known,
-    drops the larger half of the mirror pairs, and places twins (vertices
-    with the same neighbours apart from each other, vertices 0 and 1
-    excepted) in ascending order only. Each twin-sorted optimum is then
-    expanded into every permutation inside its twin cells. `explored`
-    counts the twin-sorted complete arrangements the search reaches. More
-    than MAX_WITNESSES witnesses raise ValidationError before any
-    is built; `compute_gap` needs only the smallest and answers such
-    graphs. The search is pruned by the subset DP's tables, so it shares
-    that solver's order limit. A graph has a crossing-free arrangement iff
-    it is outerplanar, so every other graph gets None from the linear-time
+    the other). The search (`_twin_sorted_optima`) defers prefixes that tie
+    the incumbent until the optimum is known, and yields only the
+    twin-sorted optima that precede their mirrors, which `_listing` expands.
+    `explored` counts the twin-sorted complete arrangements it reaches.
+    More than MAX_WITNESSES witnesses raise ValidationError before any is
+    built; `compute_gap` needs only the smallest and answers such graphs.
+    The search is pruned by the subset DP's tables, so it shares that
+    solver's order limit. A graph has a crossing-free arrangement iff it is
+    outerplanar, so every other graph gets None from the linear-time
     `is_outerplanar` before any table is built or any prefix searched.
     """
     found = _planar_optima(g)
-    if found is None:
-        return None
-    optimum, optima, explored, cells = found
-    witnesses = sorted(_expand_orbits(optima, cells))
-    return SolveResult(optimum, tuple(map(Arrangement._trusted, witnesses)), explored,
-                       SOLVER_PLANAR)
+    return None if found is None else _listing(found, SOLVER_PLANAR)
 
 
 def iter_crossing_free(g: Graph) -> Iterator[Arrangement]:

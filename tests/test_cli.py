@@ -24,10 +24,12 @@ from linarr import (
     emit_arc_diagram,
     emit_arrangement,
     emit_graph,
+    enumerate_connected_graphs,
     enumerate_connected_outerplanar_graphs,
     parse_arrangement,
     parse_graph,
     run_cli,
+    solve_minla_exhaustive,
     solve_planar_minla,
 )
 from linarr.solvers import (
@@ -80,6 +82,7 @@ SEARCH_ORDER8_SHA256 = "49f3f8f498973ee6a0702fabff9a39bf802dfe9a74689e748bb79a4f
 # A star with centre a and leaves b..i: 20,160 crossing-free optima up to
 # reversal, every one emitted as a witness.
 STAR9_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghi")
+STAR10_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghij")
 STAR12_TEXT = "".join(f"a {leaf}\n" for leaf in "bcdefghijkl")
 # sha256 of `linarr planar-minla <star> --json` stdout. Retaken when the
 # search began to defer tied prefixes and to break mirror symmetry itself:
@@ -198,6 +201,23 @@ class TestMinla:
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("witnesses up to reversal")]
         assert lines == ([] if count is None else [f"witnesses up to reversal: {count}"])
+
+    def test_exhaustive_reports_are_the_solvers(self):
+        # Both reports come from the twin-sorted optima: the JSON one
+        # expands them, and the human one counts them without expanding.
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                text = emit_graph(g)
+                doc = parse_graph(text)
+                result = solve_minla_exhaustive(doc.graph)
+                witnesses = [emit_arrangement(w, doc.labels) for w in result.witnesses]
+                assert answer(text, "minla", "-", "--solver", "exhaustive") == (0, (
+                    f"optimal cost: {result.optimal_cost}\n"
+                    f"witness: {witnesses[0]}\n"
+                    f"witnesses up to reversal: {len(witnesses)}\n"
+                    f"explored: {result.explored}\nsolver: exhaustive\n"), ""), g
+                _, out, _ = answer(text, "minla", "-", "--solver", "exhaustive", "--json")
+                assert json.loads(out)["witnesses"] == witnesses, g
 
     def test_explored_reported(self, capsys, pentagon_file):
         _, out, _ = run(capsys, "minla", pentagon_file, "--solver", "exhaustive", "--json")
@@ -515,6 +535,24 @@ def test_human_output_is_pinned(capsys, tmp_path, name):
     code, out, err = run(capsys, args[0], str(path), *args[1:])
     assert (code, err) == (0, "")
     assert out == expected
+
+
+@pytest.mark.parametrize("argv", [["minla", "-", "--solver", "exhaustive"], ["planar-minla", "-"]],
+                         ids=["minla-exhaustive", "planar-minla"])
+def test_human_listing_report_builds_no_witness(monkeypatch, argv):
+    # The 10-star has 362,880 optima up to reversal under both commands.
+    # The human report counts them from the twin-sorted optima and prints
+    # the least of those: no orbit is expanded and no Arrangement built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the human report built a witness")
+
+    monkeypatch.setattr(cli, "_expand_orbits", refuse)
+    monkeypatch.setattr("linarr.solvers._expand_orbits", refuse)
+    monkeypatch.setattr(Arrangement, "_trusted", classmethod(refuse))
+    code, out, err = answer(STAR10_TEXT, *argv)
+    assert (code, err) == (0, "")
+    assert "witnesses up to reversal: 362880\n" in out
+    assert "witness: b,c,d,e,a,f,g,h,i,j\n" in out
 
 
 class TestExitCodes:

@@ -51,6 +51,8 @@ from linarr.solvers import (
     MAX_WITNESSES,
     _batched_subset_tables,
     _crossing_free_search,
+    _minla_optima,
+    _planar_optima,
     _subset_tables,
 )
 
@@ -157,6 +159,15 @@ class TestExhaustive:
             monkeypatch.setattr("linarr.solvers.MAX_WITNESSES", count - 1)
             with pytest.raises(ValidationError, match=f"at most {count - 1:,} .* has {count:,};"):
                 solve_minla_exhaustive(g)
+
+    def test_star_optima_are_the_crossing_free_ones(self):
+        # A star has no crossing, so both listings search the same twin
+        # cells and find the same twin-sorted optima.
+        for n in range(2, 10):
+            star = make_graph(n, [(0, i) for i in range(1, n)])
+            minla, planar = _minla_optima(star), _planar_optima(star)
+            assert (minla[0], minla[3]) == (planar[0], planar[3])
+            assert sorted(minla[1]) == sorted(planar[1])
 
     def test_nine_star_is_listed(self):
         # Every arrangement with the centre at position 5 or 6 is optimal:
@@ -594,19 +605,22 @@ class TestTwinQuotient:
         assert len(result.witnesses) == 362880 <= MAX_WITNESSES
         assert result.best.positions == (5,) + tuple(range(1, 5)) + tuple(range(6, 11))
 
-    def test_witness_cap_is_checked_before_expansion(self, monkeypatch):
-        # The 9-star's 20,160 optima up to reversal.
+    @pytest.mark.parametrize("solve", [solve_minla_exhaustive, solve_planar_minla],
+                             ids=["exhaustive", "planar"])
+    def test_witness_cap_is_checked_before_expansion(self, monkeypatch, solve):
+        # The 9-star's 20,160 optima up to reversal; a star has no crossing,
+        # so both listings hold the same optima.
         star = make_graph(9, [(0, i) for i in range(1, 9)])
 
         def no_expansion(*args, **kwargs):
             raise AssertionError("the witnesses were expanded past the cap")
 
         monkeypatch.setattr("linarr.solvers.MAX_WITNESSES", 20160)
-        assert len(solve_planar_minla(star).witnesses) == 20160
+        assert len(solve(star).witnesses) == 20160
         monkeypatch.setattr("linarr.solvers.MAX_WITNESSES", 20159)
         monkeypatch.setattr("linarr.solvers._expand_orbits", no_expansion)
         with pytest.raises(ValidationError, match="at most 20,159 .* has 20,160"):
-            solve_planar_minla(star)
+            solve(star)
 
     def test_gap_witness_is_the_smallest_optimum(self):
         # Also where compute_gap settles the class from the minLA witness
